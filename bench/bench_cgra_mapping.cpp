@@ -16,9 +16,10 @@
 // a pinned tiny configuration (2x2 and 3x3 meshes, deterministic node
 // limits, no wall-clock dependence) is compared against the checked-in
 // reference bench/mapping_smoke_ref.json (override via SWP_MAPPING_REF).
-// Fewer mapped/proven/agreeing loops than the reference fails; >3x the
-// reference's B&B-node or pivot effort fails.  SWP_PERF_SMOKE=write
-// regenerates the reference after an intentional change.
+// Fewer mapped/proven/agreeing loops than the reference (ILP or SAT)
+// fails; >3x the reference's B&B-node, pivot, or SAT-conflict effort
+// fails.  SWP_PERF_SMOKE=write regenerates the reference after an
+// intentional change.
 //
 // Env: SWP_CORPUS_SIZE (default 40 loops per grid), SWP_TIME_LIMIT
 //      (default 2 s per candidate T), SWP_BENCH_JSON (output path).
@@ -182,11 +183,14 @@ std::string smokeJson(const GridStats &A, const GridStats &B) {
   return strFormat("{\n  \"mapped\": %d,\n  \"proven\": %d,\n"
                    "  \"agree\": %d,\n  \"disagree\": %d,\n"
                    "  \"verify_fail\": %d,\n  \"nodes\": %lld,\n"
-                   "  \"pivots\": %lld,\n  \"heur_mapped\": %d\n}\n",
+                   "  \"pivots\": %lld,\n  \"sat_mapped\": %d,\n"
+                   "  \"sat_proven\": %d,\n  \"sat_conflicts\": %lld,\n"
+                   "  \"heur_mapped\": %d\n}\n",
                    A.Ilp.Found + B.Ilp.Found, A.Ilp.Proven + B.Ilp.Proven,
                    A.Agree + B.Agree, A.Disagree + B.Disagree,
                    A.VerifyFail + B.VerifyFail, A.Ilp.Effort + B.Ilp.Effort,
-                   A.Ilp.Pivots + B.Ilp.Pivots,
+                   A.Ilp.Pivots + B.Ilp.Pivots, A.Sat.Found + B.Sat.Found,
+                   A.Sat.Proven + B.Sat.Proven, A.Sat.Effort + B.Sat.Effort,
                    A.Ims.Found + A.Slack.Found + B.Ims.Found + B.Slack.Found);
 }
 
@@ -254,7 +258,7 @@ int mappingSmoke(bool WriteRef) {
       ++Failures;
       return;
     }
-    std::printf("  %-12s %8lld vs ref %8lld (floor) %s\n", Key, Have, Want,
+    std::printf("  %-13s %8lld vs ref %8lld (floor) %s\n", Key, Have, Want,
                 Have < Want ? "FAIL" : "ok");
     if (Have < Want)
       ++Failures;
@@ -267,7 +271,7 @@ int mappingSmoke(bool WriteRef) {
       return;
     }
     long long Limit = 3 * (Want < 1 ? 1 : Want);
-    std::printf("  %-12s %8lld vs ref %8lld (limit %lld) %s\n", Key, Have,
+    std::printf("  %-13s %8lld vs ref %8lld (limit %lld) %s\n", Key, Have,
                 Want, Limit, Have > Limit ? "FAIL" : "ok");
     if (Have > Limit)
       ++Failures;
@@ -276,11 +280,14 @@ int mappingSmoke(bool WriteRef) {
               "fails; any disagree/verify-fail fails):\n");
   GateFloor("mapped", A.Ilp.Found + B.Ilp.Found);
   GateFloor("proven", A.Ilp.Proven + B.Ilp.Proven);
+  GateFloor("sat_mapped", A.Sat.Found + B.Sat.Found);
+  GateFloor("sat_proven", A.Sat.Proven + B.Sat.Proven);
   GateFloor("agree", A.Agree + B.Agree);
   GateFloor("heur_mapped",
             A.Ims.Found + A.Slack.Found + B.Ims.Found + B.Slack.Found);
   GateCeiling("nodes", A.Ilp.Effort + B.Ilp.Effort);
   GateCeiling("pivots", A.Ilp.Pivots + B.Ilp.Pivots);
+  GateCeiling("sat_conflicts", A.Sat.Effort + B.Sat.Effort);
   if (A.Disagree + B.Disagree) {
     std::fprintf(stderr, "FAIL: %d proven-optimal II disagreements\n",
                  A.Disagree + B.Disagree);

@@ -18,6 +18,13 @@
 /// clause database only grows (scheduling instances are small enough that
 /// clause-database reduction buys nothing).
 ///
+/// Clause storage is one flat arena: each clause, problem or learned, is a
+/// header word (size << 1 | learnt) followed by its literals inline, and
+/// is named by its 32-bit offset (a clause reference).  Watch lists and
+/// propagation reasons hold those offsets, which stay valid while the
+/// arena grows, and adding a clause allocates nothing per clause (see
+/// DESIGN.md Section 10).
+///
 /// The search cooperates with the rest of the failure domain: it polls a
 /// CancellationToken, honours wall-clock and conflict budgets, and polls
 /// FaultSite::SatConflict at every conflict so the fuzz harness can prove
@@ -32,6 +39,8 @@
 #include "swp/support/Cancellation.h"
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 namespace swp {
@@ -103,10 +112,18 @@ public:
   int numVars() const { return NumVars; }
   int numClauses() const { return NumProblemClauses; }
 
-  /// Adds a problem clause (empty clauses and level-0 conflicts make the
-  /// instance globally unsat).  Duplicate and opposing literals are
-  /// handled; \returns false when the database is already globally unsat.
-  bool addClause(const std::vector<SatLit> &Lits);
+  /// Adds a problem clause at decision level 0 (between solves).  The
+  /// literals are sorted and deduplicated into reused scratch space; a
+  /// clause with opposing literals or one already true at level 0 is
+  /// dropped, literals false at level 0 are removed, a unit is enqueued
+  /// and propagated at once, and anything longer is copied into the arena.
+  /// An empty clause or a level-0 conflict makes the instance globally
+  /// unsat.  \returns false when the database is globally unsat.
+  bool addClause(std::span<const SatLit> Lits);
+  /// Same, for a braced literal list: builds no temporary vector.
+  bool addClause(std::initializer_list<SatLit> Lits) {
+    return addClause(std::span<const SatLit>(Lits.begin(), Lits.size()));
+  }
 
   /// True when no level-0 contradiction has been derived yet.
   bool ok() const { return Ok; }

@@ -70,19 +70,18 @@ public:
   /// assumption literal activating it.  \pre !triviallyInfeasible(T).
   SatLit selector(int T);
 
-  /// Reads the pattern offsets out of the solver's model (last solve under
-  /// selector(T) must have returned Sat).
-  std::vector<int> modelOffsets(int T) const;
-
   /// Completes the solver's model into a schedule at period \p T: offsets
-  /// from the a-variables, the K vector by Bellman-Ford, the mapping from
-  /// the color variables (greedily for types that needed none).  \returns
-  /// false when the offsets admit no K vector, filling \p CycleNodes with
-  /// a positive-cycle witness to block.
-  bool decode(int T, ModuloSchedule &Out, std::vector<int> &CycleNodes) const;
+  /// from the a-variables (left in \p Offsets), the K vector by
+  /// Bellman-Ford, the mapping from the color variables (greedily for
+  /// types that needed none).  The last solve under selector(T) must have
+  /// returned Sat.  \returns false when the offsets admit no K vector,
+  /// filling \p CycleNodes with a positive-cycle witness to block.
+  bool decode(int T, ModuloSchedule &Out, std::vector<int> &CycleNodes,
+              std::vector<int> &Offsets);
 
-  /// Forbids the current offsets of \p CycleNodes under period \p T (the
-  /// lazy recurrence refinement; the clause is guarded by ~s_T).
+  /// Forbids the \p Offsets (as decode() left them) of \p CycleNodes under
+  /// period \p T (the lazy recurrence refinement; the clause is guarded by
+  /// ~s_T).
   void blockCycle(int T, const std::vector<int> &CycleNodes,
                   const std::vector<int> &Offsets);
 
@@ -95,6 +94,7 @@ private:
   void buildColoringSkeleton();
   void buildInstanceSkeleton();
   int overlapVar(int TypeOpI, int TypeOpJ, int NodeI, int NodeJ);
+  void modelOffsets(int T, std::vector<int> &Offsets) const;
   int modelUnit(int Node) const;
 
   const Ddg &G;
@@ -132,12 +132,20 @@ private:
   struct RouteVarIds {
     int Edge;
     int Unit; // Global unit of the producer.
-    int Hops;
     int Var;
+    /// Topology::routeColumns of the route's hop count (T-independent).
+    std::vector<int> Cols;
   };
   std::vector<RouteVarIds> RouteVars;
 
   int NumCycleBlocks = 0;
+
+  /// Scratch reused across clauses and decodes so the per-period encoding
+  /// and the lazy refinement loop allocate nothing per clause.
+  std::vector<SatLit> ClauseBuf, RowBuf;
+  std::vector<char> ConflictAt;
+  std::vector<int> Units, EdgeWeight, KBuf, PredEdge;
+  std::vector<char> WalkSeen;
 };
 
 } // namespace swp

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 
 using namespace swp;
 
@@ -32,17 +33,35 @@ double luby(double Y, int X) {
 } // namespace
 
 struct CdclSolver::Impl {
-  struct Clause {
-    bool Learnt = false;
-    std::vector<SatLit> Lits;
-  };
+  /// Clause reference: the offset of a clause's header word in Arena.
+  using CRef = std::uint32_t;
+  static constexpr CRef NoClause = UINT32_MAX;
+
+  /// Every clause, problem and learned alike: a header word
+  /// (size << 1 | learnt) followed by the literals inline.  Only grows.
+  std::vector<SatLit> Arena;
+
+  int clauseSize(CRef C) const { return Arena[C] >> 1; }
+  SatLit *lits(CRef C) { return Arena.data() + C + 1; }
+
+  CRef allocClause(std::span<const SatLit> Lits, bool IsLearnt) {
+    // A wrapped reference would silently alias another clause; stop
+    // instead (this takes a 16 GiB arena).
+    if (Arena.size() + 1 + Lits.size() >= NoClause)
+      std::abort();
+    const CRef C = static_cast<CRef>(Arena.size());
+    Arena.push_back(static_cast<SatLit>(Lits.size() << 1) | (IsLearnt ? 1 : 0));
+    Arena.insert(Arena.end(), Lits.begin(), Lits.end());
+    return C;
+  }
 
   /// 1 = true, -1 = false, 0 = unassigned (per variable).
   std::vector<std::int8_t> Assign;
   /// Decision level of each assigned variable.
   std::vector<int> Level;
-  /// Antecedent clause of each propagated variable (null for decisions).
-  std::vector<Clause *> Reason;
+  /// Antecedent clause of each propagated variable (NoClause for decisions
+  /// and level-0 units).
+  std::vector<CRef> Reason;
   /// Saved phase per variable (phase saving; seeded by setPolarity).
   std::vector<std::int8_t> Phase;
   /// VSIDS activity per variable.
@@ -52,9 +71,7 @@ struct CdclSolver::Impl {
 
   /// Watch[L] = clauses to inspect when literal L becomes true (they watch
   /// the negation of L).
-  std::vector<std::vector<Clause *>> Watches;
-
-  std::vector<Clause *> Clauses;
+  std::vector<std::vector<CRef>> Watches;
 
   /// Assignment trail and per-level boundaries.
   std::vector<SatLit> Trail;
@@ -67,11 +84,10 @@ struct CdclSolver::Impl {
 
   /// Scratch for conflict analysis.
   std::vector<std::int8_t> Seen;
-
-  ~Impl() {
-    for (Clause *C : Clauses)
-      delete C;
-  }
+  /// The clause being learned, reused across conflicts.
+  std::vector<SatLit> Learnt;
+  /// addClause's sort/dedupe buffer, reused across calls.
+  std::vector<SatLit> AddBuf;
 
   int decisionLevel() const { return static_cast<int>(TrailLim.size()); }
 
@@ -147,7 +163,7 @@ struct CdclSolver::Impl {
 
   // -- Trail --------------------------------------------------------------
 
-  void uncheckedEnqueue(SatLit L, Clause *From) {
+  void uncheckedEnqueue(SatLit L, CRef From) {
     std::size_t V = static_cast<std::size_t>(litVar(L));
     Assign[V] = litNeg(L) ? -1 : 1;
     Level[V] = decisionLevel();
@@ -165,7 +181,7 @@ struct CdclSolver::Impl {
       std::size_t V = static_cast<std::size_t>(litVar(L));
       Phase[V] = Assign[V];
       Assign[V] = 0;
-      Reason[V] = nullptr;
+      Reason[V] = NoClause;
       heapInsert(static_cast<int>(V));
     }
     Trail.resize(Bound);
@@ -175,20 +191,24 @@ struct CdclSolver::Impl {
 
   // -- Propagation --------------------------------------------------------
 
-  void attach(Clause *C) {
-    Watches[static_cast<std::size_t>(litNot(C->Lits[0]))].push_back(C);
-    Watches[static_cast<std::size_t>(litNot(C->Lits[1]))].push_back(C);
+  void attach(CRef C) {
+    const SatLit *Ls = lits(C);
+    Watches[static_cast<std::size_t>(litNot(Ls[0]))].push_back(C);
+    Watches[static_cast<std::size_t>(litNot(Ls[1]))].push_back(C);
   }
 
-  Clause *propagate(std::int64_t &Propagations) {
+  /// \returns the conflicting clause, or NoClause.  Holds a raw pointer
+  /// into the arena only while nothing can grow it.
+  CRef propagate(std::int64_t &Propagations) {
     while (QHead < Trail.size()) {
       SatLit P = Trail[QHead++];
       ++Propagations;
-      std::vector<Clause *> &WL = Watches[static_cast<std::size_t>(P)];
+      std::vector<CRef> &WL = Watches[static_cast<std::size_t>(P)];
       std::size_t I = 0, J = 0;
       while (I < WL.size()) {
-        Clause *C = WL[I++];
-        std::vector<SatLit> &Ls = C->Lits;
+        CRef C = WL[I++];
+        SatLit *Ls = lits(C);
+        const int Size = clauseSize(C);
         // Normalize: the literal falsified by P sits at position 1.
         if (Ls[0] == litNot(P))
           std::swap(Ls[0], Ls[1]);
@@ -197,7 +217,7 @@ struct CdclSolver::Impl {
           continue;
         }
         bool Rewatched = false;
-        for (std::size_t K = 2; K < Ls.size(); ++K) {
+        for (int K = 2; K < Size; ++K) {
           if (val(Ls[K]) != -1) {
             std::swap(Ls[1], Ls[K]);
             Watches[static_cast<std::size_t>(litNot(Ls[1]))].push_back(C);
@@ -219,20 +239,22 @@ struct CdclSolver::Impl {
       }
       WL.resize(J);
     }
-    return nullptr;
+    return NoClause;
   }
 
   // -- Conflict analysis (first UIP) --------------------------------------
 
-  void analyze(Clause *Confl, std::vector<SatLit> &Learnt, int &BtLevel) {
+  /// Fills Learnt with the first-UIP clause of \p Confl.
+  void analyze(CRef Confl, int &BtLevel) {
     Learnt.clear();
     Learnt.push_back(0); // Placeholder for the asserting literal.
     int Counter = 0;
     SatLit P = -1;
     std::size_t Idx = Trail.size();
     do {
-      for (std::size_t K = (P == -1 ? 0 : 1); K < Confl->Lits.size(); ++K) {
-        SatLit Q = Confl->Lits[K];
+      const SatLit *Ls = lits(Confl);
+      for (int K = (P == -1 ? 0 : 1); K < clauseSize(Confl); ++K) {
+        SatLit Q = Ls[K];
         std::size_t V = static_cast<std::size_t>(litVar(Q));
         if (Seen[V] || Level[V] == 0)
           continue;
@@ -293,7 +315,7 @@ int CdclSolver::newVar() {
   int V = NumVars++;
   P->Assign.push_back(0);
   P->Level.push_back(0);
-  P->Reason.push_back(nullptr);
+  P->Reason.push_back(Impl::NoClause);
   P->Phase.push_back(-1); // Decide false first (sparse placements).
   P->Activity.push_back(0.0);
   P->Watches.emplace_back();
@@ -309,38 +331,37 @@ void CdclSolver::setPolarity(int Var, bool Value) {
   P->Phase[static_cast<std::size_t>(Var)] = Value ? 1 : -1;
 }
 
-bool CdclSolver::addClause(const std::vector<SatLit> &Lits) {
+bool CdclSolver::addClause(std::span<const SatLit> Lits) {
   if (!Ok)
     return false;
-  // Clauses are only added at decision level 0 (between solves).
-  std::vector<SatLit> Ls(Lits);
+  // Clauses are only added at decision level 0 (between solves).  Sort,
+  // dedupe, and drop level-0-false literals in place in the scratch buffer.
+  std::vector<SatLit> &Ls = P->AddBuf;
+  Ls.assign(Lits.begin(), Lits.end());
   std::sort(Ls.begin(), Ls.end());
   Ls.erase(std::unique(Ls.begin(), Ls.end()), Ls.end());
-  std::vector<SatLit> Out;
+  std::size_t Kept = 0;
   for (std::size_t I = 0; I < Ls.size(); ++I) {
-    if (I + 1 < Ls.size() && Ls[I + 1] == litNot(Ls[I]) &&
-        litVar(Ls[I]) == litVar(Ls[I + 1]))
+    if (I + 1 < Ls.size() && Ls[I + 1] == litNot(Ls[I]))
       return true; // Tautology.
     int V = P->val(Ls[I]);
     if (V == 1)
       return true; // Satisfied at level 0.
     if (V == 0)
-      Out.push_back(Ls[I]);
+      Ls[Kept++] = Ls[I];
   }
-  if (Out.empty()) {
+  Ls.resize(Kept);
+  if (Ls.empty()) {
     Ok = false;
     return false;
   }
-  if (Out.size() == 1) {
-    P->uncheckedEnqueue(Out[0], nullptr);
-    if (P->propagate(Stats.Propagations) != nullptr)
+  if (Ls.size() == 1) {
+    P->uncheckedEnqueue(Ls[0], Impl::NoClause);
+    if (P->propagate(Stats.Propagations) != Impl::NoClause)
       Ok = false;
     return Ok;
   }
-  Impl::Clause *C = new Impl::Clause;
-  C->Lits = std::move(Out);
-  P->Clauses.push_back(C);
-  P->attach(C);
+  P->attach(P->allocClause(Ls, /*IsLearnt=*/false));
   ++NumProblemClauses;
   return true;
 }
@@ -358,7 +379,7 @@ SatStatus CdclSolver::solve(const std::vector<SatLit> &Assumptions,
   std::int64_t RestartBudget =
       static_cast<std::int64_t>(luby(2.0, RestartNum) * 64.0);
   std::int64_t ConflictsSinceRestart = 0;
-  std::vector<SatLit> Learnt;
+  const std::vector<SatLit> &Learnt = P->Learnt;
 
   auto stop = [&](SatStop Why) {
     LastStop = Why;
@@ -367,8 +388,8 @@ SatStatus CdclSolver::solve(const std::vector<SatLit> &Assumptions,
   };
 
   for (;;) {
-    Impl::Clause *Confl = P->propagate(Stats.Propagations);
-    if (Confl != nullptr) {
+    const Impl::CRef Confl = P->propagate(Stats.Propagations);
+    if (Confl != Impl::NoClause) {
       ++Stats.Conflicts;
       ++ConflictsSinceRestart;
       if (FI.armed() && FI.shouldFire(FaultSite::SatConflict)) {
@@ -382,15 +403,12 @@ SatStatus CdclSolver::solve(const std::vector<SatLit> &Assumptions,
         return SatStatus::Unsat;
       }
       int BtLevel = 0;
-      P->analyze(Confl, Learnt, BtLevel);
+      P->analyze(Confl, BtLevel);
       P->cancelUntil(BtLevel);
       if (Learnt.size() == 1) {
-        P->uncheckedEnqueue(Learnt[0], nullptr);
+        P->uncheckedEnqueue(Learnt[0], Impl::NoClause);
       } else {
-        Impl::Clause *C = new Impl::Clause;
-        C->Learnt = true;
-        C->Lits = Learnt;
-        P->Clauses.push_back(C);
+        const Impl::CRef C = P->allocClause(Learnt, /*IsLearnt=*/true);
         P->attach(C);
         ++Stats.LearnedClauses;
         Stats.LearnedLiterals += static_cast<std::int64_t>(Learnt.size());
@@ -458,7 +476,7 @@ SatStatus CdclSolver::solve(const std::vector<SatLit> &Assumptions,
         Next = mkLit(Var, P->Phase[static_cast<std::size_t>(Var)] < 0);
       }
       P->TrailLim.push_back(static_cast<int>(P->Trail.size()));
-      P->uncheckedEnqueue(Next, nullptr);
+      P->uncheckedEnqueue(Next, Impl::NoClause);
     }
   }
 }

@@ -17,20 +17,17 @@ int ceilDiv(int A, int B) {
 
 /// Guarded Sinz sequential-counter encoding of sum(X) <= K.  Aux variables
 /// R[i][j] read "at least j+1 of X[0..i] are true"; every clause carries
-/// \p Guard so the whole row retracts with its period selector.
+/// \p Guard so the whole row retracts with its period selector.  The
+/// (N-1) x K aux block is created row-major in one run of newVar(), so
+/// R[i][j] is Base + i*K + j.
 void sinzAtMost(CdclSolver &S, const std::vector<SatLit> &X, int K,
                 SatLit Guard) {
   const int N = static_cast<int>(X.size());
   assert(N > K && K >= 1 && "caller skips vacuous rows");
-  std::vector<std::vector<int>> R(static_cast<std::size_t>(N - 1));
-  for (auto &Row : R) {
-    Row.resize(static_cast<std::size_t>(K));
-    for (int J = 0; J < K; ++J)
-      Row[static_cast<std::size_t>(J)] = S.newVar();
-  }
-  auto at = [&R](int I, int J) {
-    return R[static_cast<std::size_t>(I)][static_cast<std::size_t>(J)];
-  };
+  const int Base = S.numVars();
+  for (int V = 0; V < (N - 1) * K; ++V)
+    S.newVar();
+  auto at = [Base, K](int I, int J) { return Base + I * K + J; };
   S.addClause({Guard, litNot(X[0]), mkLit(at(0, 0))});
   for (int J = 1; J < K; ++J)
     S.addClause({Guard, mkLit(at(0, J), true)});
@@ -96,12 +93,12 @@ void CnfEncoder::buildColoringSkeleton() {
       const int Ub = std::min(static_cast<int>(Ix) + 1, Count);
       std::vector<int> &Cv = ColorVar[static_cast<std::size_t>(Ops[Ix])];
       Cv.resize(static_cast<std::size_t>(Ub));
-      std::vector<SatLit> Alo;
+      ClauseBuf.clear();
       for (int U = 0; U < Ub; ++U) {
         Cv[static_cast<std::size_t>(U)] = S.newVar();
-        Alo.push_back(mkLit(Cv[static_cast<std::size_t>(U)]));
+        ClauseBuf.push_back(mkLit(Cv[static_cast<std::size_t>(U)]));
       }
-      S.addClause(Alo);
+      S.addClause(ClauseBuf);
       for (int U = 0; U < Ub; ++U)
         for (int V = U + 1; V < Ub; ++V)
           S.addClause({mkLit(Cv[static_cast<std::size_t>(U)], true),
@@ -125,12 +122,12 @@ void CnfEncoder::buildInstanceSkeleton() {
     const int Count = Machine.type(G.node(I).OpClass).Count;
     std::vector<int> &Xv = InstVar[static_cast<std::size_t>(I)];
     Xv.resize(static_cast<std::size_t>(Count));
-    std::vector<SatLit> Alo;
+    ClauseBuf.clear();
     for (int U = 0; U < Count; ++U) {
       Xv[static_cast<std::size_t>(U)] = S.newVar();
-      Alo.push_back(mkLit(Xv[static_cast<std::size_t>(U)]));
+      ClauseBuf.push_back(mkLit(Xv[static_cast<std::size_t>(U)]));
     }
-    S.addClause(Alo);
+    S.addClause(ClauseBuf);
     for (int U = 0; U < Count; ++U)
       for (int V = U + 1; V < Count; ++V)
         S.addClause({mkLit(Xv[static_cast<std::size_t>(U)], true),
@@ -153,14 +150,16 @@ void CnfEncoder::buildInstanceSkeleton() {
         const int Prev = Class[BIx - 1] - Base;
         const int Cur = Class[BIx] - Base;
         for (std::size_t AIx = 0; AIx < Ops.size(); ++AIx) {
-          std::vector<SatLit> C;
-          C.push_back(mkLit(InstVar[static_cast<std::size_t>(Ops[AIx])]
-                                   [static_cast<std::size_t>(Cur)],
-                            true));
+          ClauseBuf.clear();
+          ClauseBuf.push_back(
+              mkLit(InstVar[static_cast<std::size_t>(Ops[AIx])]
+                           [static_cast<std::size_t>(Cur)],
+                    true));
           for (std::size_t E = 0; E < AIx; ++E)
-            C.push_back(mkLit(InstVar[static_cast<std::size_t>(Ops[E])]
-                                     [static_cast<std::size_t>(Prev)]));
-          S.addClause(C);
+            ClauseBuf.push_back(
+                mkLit(InstVar[static_cast<std::size_t>(Ops[E])]
+                             [static_cast<std::size_t>(Prev)]));
+          S.addClause(ClauseBuf);
         }
       }
     }
@@ -191,6 +190,7 @@ void CnfEncoder::buildInstanceSkeleton() {
   // exactly c >= 2 hops): forced to 1 by any (x_iu, x_jv) pair at hop
   // distance c; their ROUTE-cell collisions are forbidden per period in
   // encodePeriod.
+  std::vector<int> Consumers;
   for (std::size_t EIx = 0; EIx < G.edges().size(); ++EIx) {
     const DdgEdge &E = G.edges()[EIx];
     if (E.Src == E.Dst)
@@ -199,7 +199,7 @@ void CnfEncoder::buildInstanceSkeleton() {
     for (int U = 0; U < Machine.type(Ri).Count; ++U) {
       const int GU = UnitBase[static_cast<std::size_t>(Ri)] + U;
       for (int C = 2;; ++C) {
-        std::vector<int> Consumers;
+        Consumers.clear();
         bool AnyBeyond = false;
         for (int V = 0; V < Machine.type(Rj).Count; ++V) {
           const int GV = UnitBase[static_cast<std::size_t>(Rj)] + V;
@@ -217,7 +217,9 @@ void CnfEncoder::buildInstanceSkeleton() {
           continue;
         }
         const int Y = S.newVar();
-        RouteVars.push_back({static_cast<int>(EIx), GU, C, Y});
+        RouteVars.push_back(
+            {static_cast<int>(EIx), GU, Y,
+             Topology::routeColumns(E.Latency, C, Topo->hopLatency())});
         for (int V : Consumers)
           S.addClause({mkLit(Y),
                        mkLit(InstVar[static_cast<std::size_t>(E.Src)]
@@ -291,12 +293,12 @@ void CnfEncoder::encodePeriod(int T, int Sel) {
 
   // At-least-one offset in [0,T) per instruction (Eq. 9/23 at this T).
   for (int I = 0; I < N; ++I) {
-    std::vector<SatLit> Alo;
-    Alo.push_back(NS);
+    ClauseBuf.clear();
+    ClauseBuf.push_back(NS);
     for (int Row = 0; Row < T; ++Row)
-      Alo.push_back(mkLit(AVar[static_cast<std::size_t>(Row)]
-                              [static_cast<std::size_t>(I)]));
-    S.addClause(Alo);
+      ClauseBuf.push_back(mkLit(AVar[static_cast<std::size_t>(Row)]
+                                    [static_cast<std::size_t>(I)]));
+    S.addClause(ClauseBuf);
   }
 
   // Eager dependence windows for 2-cycles (Eq. 4/8 around a cycle): the K
@@ -345,7 +347,8 @@ void CnfEncoder::encodePeriod(int T, int Sel) {
                            Machine.tableFor(G.node(Op)).numStages());
     for (int Stage = 0; Stage < MaxStages; ++Stage) {
       for (int Slot = 0; Slot < T; ++Slot) {
-        std::vector<SatLit> Lits;
+        std::vector<SatLit> &Lits = RowBuf;
+        Lits.clear();
         int ContributingOps = 0;
         for (int Op : Ops) {
           const ReservationTable &Tab = Machine.tableFor(G.node(Op));
@@ -381,7 +384,7 @@ void CnfEncoder::encodePeriod(int T, int Sel) {
         const int NodeI = Ops[IxI], NodeJ = Ops[IxJ];
         const ReservationTable &Ti = Machine.tableFor(G.node(NodeI));
         const ReservationTable &Tj = Machine.tableFor(G.node(NodeJ));
-        std::vector<char> ConflictAt(static_cast<std::size_t>(T));
+        ConflictAt.assign(static_cast<std::size_t>(T), 0);
         bool Any = false;
         for (int D = 0; D < T; ++D) {
           ConflictAt[static_cast<std::size_t>(D)] =
@@ -398,17 +401,16 @@ void CnfEncoder::encodePeriod(int T, int Sel) {
           for (int Q = 0; Q < T; ++Q) {
             if (!ConflictAt[static_cast<std::size_t>(((Q - P) % T + T) % T)])
               continue;
-            std::vector<SatLit> C{
-                NS,
-                mkLit(AVar[static_cast<std::size_t>(P)]
-                          [static_cast<std::size_t>(NodeI)],
-                      true),
-                mkLit(AVar[static_cast<std::size_t>(Q)]
-                          [static_cast<std::size_t>(NodeJ)],
-                      true)};
+            const SatLit Ai = mkLit(AVar[static_cast<std::size_t>(P)]
+                                        [static_cast<std::size_t>(NodeI)],
+                                    true);
+            const SatLit Aj = mkLit(AVar[static_cast<std::size_t>(Q)]
+                                        [static_cast<std::size_t>(NodeJ)],
+                                    true);
             if (Ov >= 0)
-              C.push_back(mkLit(Ov));
-            S.addClause(C);
+              S.addClause({NS, Ai, Aj, mkLit(Ov)});
+            else
+              S.addClause({NS, Ai, Aj});
           }
         }
       }
@@ -422,9 +424,7 @@ void CnfEncoder::encodePeriod(int T, int Sel) {
   // the producer's unit at pattern steps (p + col) mod T for each column
   // col of routeColumns(L, c, hopLatency), p being the producer's offset.
   for (const RouteVarIds &RV : RouteVars) {
-    const DdgEdge &E = G.edges()[static_cast<std::size_t>(RV.Edge)];
-    const std::vector<int> Cols =
-        Topology::routeColumns(E.Latency, RV.Hops, Topo->hopLatency());
+    const std::vector<int> &Cols = RV.Cols;
     // Self-collision: the route's own columns fold onto one pattern step,
     // so placements activating it are infeasible at this T.
     for (std::size_t A = 0; A < Cols.size(); ++A)
@@ -443,27 +443,24 @@ void CnfEncoder::encodePeriod(int T, int Sel) {
         continue;
       const DdgEdge &E1 = G.edges()[static_cast<std::size_t>(A1.Edge)];
       const DdgEdge &E2 = G.edges()[static_cast<std::size_t>(A2.Edge)];
-      const std::vector<int> Cols1 =
-          Topology::routeColumns(E1.Latency, A1.Hops, Topo->hopLatency());
-      const std::vector<int> Cols2 =
-          Topology::routeColumns(E2.Latency, A2.Hops, Topo->hopLatency());
-      for (int Col1 : Cols1) {
-        for (int Col2 : Cols2) {
+      for (int Col1 : A1.Cols) {
+        for (int Col2 : A2.Cols) {
           for (int P = 0; P < T; ++P) {
             const int Q = ((P + Col1 - Col2) % T + T) % T;
             if (E1.Src == E2.Src && Q != P)
               continue; // One producer, one offset: vacuous.
-            std::vector<SatLit> C{NS,
-                                  mkLit(AVar[static_cast<std::size_t>(P)]
-                                            [static_cast<std::size_t>(E1.Src)],
-                                        true)};
-            if (E1.Src != E2.Src)
-              C.push_back(mkLit(AVar[static_cast<std::size_t>(Q)]
-                                    [static_cast<std::size_t>(E2.Src)],
-                                true));
-            C.push_back(mkLit(A1.Var, true));
-            C.push_back(mkLit(A2.Var, true));
-            S.addClause(C);
+            const SatLit A1Off = mkLit(AVar[static_cast<std::size_t>(P)]
+                                           [static_cast<std::size_t>(E1.Src)],
+                                       true);
+            if (E1.Src == E2.Src)
+              S.addClause({NS, A1Off, mkLit(A1.Var, true),
+                           mkLit(A2.Var, true)});
+            else
+              S.addClause({NS, A1Off,
+                           mkLit(AVar[static_cast<std::size_t>(Q)]
+                                     [static_cast<std::size_t>(E2.Src)],
+                                 true),
+                           mkLit(A1.Var, true), mkLit(A2.Var, true)});
           }
         }
       }
@@ -471,9 +468,9 @@ void CnfEncoder::encodePeriod(int T, int Sel) {
   }
 }
 
-std::vector<int> CnfEncoder::modelOffsets(int T) const {
+void CnfEncoder::modelOffsets(int T, std::vector<int> &Offsets) const {
   const int N = G.numNodes();
-  std::vector<int> Offsets(static_cast<std::size_t>(N), 0);
+  Offsets.assign(static_cast<std::size_t>(N), 0);
   for (int I = 0; I < N; ++I)
     for (int Row = 0; Row < T; ++Row)
       if (S.modelValue(AVar[static_cast<std::size_t>(Row)]
@@ -481,7 +478,6 @@ std::vector<int> CnfEncoder::modelOffsets(int T) const {
         Offsets[static_cast<std::size_t>(I)] = Row;
         break;
       }
-  return Offsets;
 }
 
 int CnfEncoder::modelUnit(int Node) const {
@@ -493,55 +489,62 @@ int CnfEncoder::modelUnit(int Node) const {
 }
 
 bool CnfEncoder::decode(int T, ModuloSchedule &Out,
-                        std::vector<int> &CycleNodes) const {
+                        std::vector<int> &CycleNodes,
+                        std::vector<int> &Offsets) {
   CycleNodes.clear();
   const int N = G.numNodes();
-  const std::vector<int> Offsets = modelOffsets(T);
+  modelOffsets(T, Offsets);
 
   // On the topology path the mapping is read before the K completion:
   // routing penalties rho(h) enter the dependence-edge weights (and
   // blockCycle must then include the instance literals — see there).
-  std::vector<int> Units;
   if (TopoPath) {
     Units.resize(static_cast<std::size_t>(N));
     for (int I = 0; I < N; ++I)
       Units[static_cast<std::size_t>(I)] = modelUnit(I);
   }
-  auto EdgeRho = [&](const DdgEdge &E) {
-    if (!TopoPath)
-      return 0;
-    const int GU =
-        UnitBase[static_cast<std::size_t>(G.node(E.Src).OpClass)] +
-        Units[static_cast<std::size_t>(E.Src)];
-    const int GV =
-        UnitBase[static_cast<std::size_t>(G.node(E.Dst).OpClass)] +
-        Units[static_cast<std::size_t>(E.Dst)];
-    return Topo->routePenalty(GU, GV);
-  };
 
-  // K vector by Bellman-Ford over k_j - k_i >= ceil((lat - T*m + off_i -
-  // off_j) / T), with predecessor tracking for the positive-cycle witness.
+  // Edge weights ceil((lat + rho - T*m + off_i - off_j) / T) are fixed by
+  // the model: compute them once, not on every Bellman-Ford pass.
   const std::vector<DdgEdge> &Edges = G.edges();
-  std::vector<int> K(static_cast<std::size_t>(N), 0);
-  std::vector<int> PredEdge(static_cast<std::size_t>(N), -1);
+  EdgeWeight.resize(Edges.size());
+  for (std::size_t EI = 0; EI < Edges.size(); ++EI) {
+    const DdgEdge &E = Edges[EI];
+    int Rho = 0;
+    if (TopoPath) {
+      const int GU =
+          UnitBase[static_cast<std::size_t>(G.node(E.Src).OpClass)] +
+          Units[static_cast<std::size_t>(E.Src)];
+      const int GV =
+          UnitBase[static_cast<std::size_t>(G.node(E.Dst).OpClass)] +
+          Units[static_cast<std::size_t>(E.Dst)];
+      Rho = Topo->routePenalty(GU, GV);
+    }
+    EdgeWeight[EI] = ceilDiv(E.Latency + Rho - T * E.Distance +
+                                 Offsets[static_cast<std::size_t>(E.Src)] -
+                                 Offsets[static_cast<std::size_t>(E.Dst)],
+                             T);
+  }
+
+  // K vector by Bellman-Ford over k_j - k_i >= weight(i -> j), with
+  // predecessor tracking for the positive-cycle witness.
+  std::vector<int> &K = KBuf;
+  K.assign(static_cast<std::size_t>(N), 0);
+  PredEdge.assign(static_cast<std::size_t>(N), -1);
   for (int Pass = 0; Pass <= N; ++Pass) {
     bool Changed = false;
     for (std::size_t EI = 0; EI < Edges.size(); ++EI) {
       const DdgEdge &E = Edges[EI];
-      const int W = ceilDiv(E.Latency + EdgeRho(E) - T * E.Distance +
-                                Offsets[static_cast<std::size_t>(E.Src)] -
-                                Offsets[static_cast<std::size_t>(E.Dst)],
-                            T);
-      const int Cand = K[static_cast<std::size_t>(E.Src)] + W;
+      const int Cand = K[static_cast<std::size_t>(E.Src)] + EdgeWeight[EI];
       if (Cand > K[static_cast<std::size_t>(E.Dst)]) {
         if (Pass == N) {
           // Walk predecessors until a node repeats: that suffix is a
           // positive cycle under these offsets.
-          std::vector<char> Seen(static_cast<std::size_t>(N), 0);
+          WalkSeen.assign(static_cast<std::size_t>(N), 0);
           int X = E.Dst;
           while (PredEdge[static_cast<std::size_t>(X)] >= 0 &&
-                 !Seen[static_cast<std::size_t>(X)]) {
-            Seen[static_cast<std::size_t>(X)] = 1;
+                 !WalkSeen[static_cast<std::size_t>(X)]) {
+            WalkSeen[static_cast<std::size_t>(X)] = 1;
             X = Edges[static_cast<std::size_t>(
                           PredEdge[static_cast<std::size_t>(X)])]
                     .Src;
@@ -563,16 +566,9 @@ bool CnfEncoder::decode(int T, ModuloSchedule &Out,
           // blocking the complete offset vector — weaker but always sound,
           // since Bellman-Ford just proved it has no K completion.
           int CycleWeight = 0;
-          for (int Z : CycleNodes) {
-            const DdgEdge &PE =
-                Edges[static_cast<std::size_t>(
-                    PredEdge[static_cast<std::size_t>(Z)])];
-            CycleWeight +=
-                ceilDiv(PE.Latency + EdgeRho(PE) - T * PE.Distance +
-                            Offsets[static_cast<std::size_t>(PE.Src)] -
-                            Offsets[static_cast<std::size_t>(PE.Dst)],
-                        T);
-          }
+          for (int Z : CycleNodes)
+            CycleWeight += EdgeWeight[static_cast<std::size_t>(
+                PredEdge[static_cast<std::size_t>(Z)])];
           if (CycleNodes.empty() || CycleWeight <= 0) {
             CycleNodes.clear();
             for (int I = 0; I < N; ++I)
@@ -599,11 +595,11 @@ bool CnfEncoder::decode(int T, ModuloSchedule &Out,
   if (Mapping != MappingKind::Fixed)
     return true;
 
-  Out.Mapping.assign(static_cast<std::size_t>(N), 0);
   if (TopoPath) {
-    Out.Mapping = std::move(Units);
+    Out.Mapping = Units;
     return true;
   }
+  Out.Mapping.assign(static_cast<std::size_t>(N), 0);
   for (int R = 0; R < Machine.numTypes(); ++R) {
     const std::vector<int> &Ops = OpsOfType[static_cast<std::size_t>(R)];
     const int Count = Machine.type(R).Count;
@@ -630,10 +626,10 @@ bool CnfEncoder::decode(int T, ModuloSchedule &Out,
 
 void CnfEncoder::blockCycle(int T, const std::vector<int> &CycleNodes,
                             const std::vector<int> &Offsets) {
-  std::vector<SatLit> C;
-  C.push_back(mkLit(SelVar[static_cast<std::size_t>(T)], true));
+  ClauseBuf.clear();
+  ClauseBuf.push_back(mkLit(SelVar[static_cast<std::size_t>(T)], true));
   for (int Node : CycleNodes) {
-    C.push_back(mkLit(
+    ClauseBuf.push_back(mkLit(
         AVar[static_cast<std::size_t>(
                  Offsets[static_cast<std::size_t>(Node)])]
             [static_cast<std::size_t>(Node)],
@@ -643,10 +639,11 @@ void CnfEncoder::blockCycle(int T, const std::vector<int> &CycleNodes,
     // offsets-and-placement combination (the model is still loaded — the
     // caller invokes this right after a failed decode).
     if (TopoPath)
-      C.push_back(mkLit(InstVar[static_cast<std::size_t>(Node)]
-                               [static_cast<std::size_t>(modelUnit(Node))],
-                        true));
+      ClauseBuf.push_back(
+          mkLit(InstVar[static_cast<std::size_t>(Node)]
+                       [static_cast<std::size_t>(modelUnit(Node))],
+                true));
   }
-  S.addClause(C);
+  S.addClause(ClauseBuf);
   ++NumCycleBlocks;
 }

@@ -73,8 +73,10 @@ SatAttempt SatScheduler::solveAtT(int T, double TimeLimitSec,
   // death into a fake infeasibility proof.
   const std::uint64_t FaultsBefore = FI.fired(FaultSite::SatConflict);
 
-  const SatLit Sel = Encoder->selector(T);
+  const std::vector<SatLit> Assumptions{Encoder->selector(T)};
   const std::int64_t ConflictsStart = Solver->stats().Conflicts;
+  ModuloSchedule Sched;
+  std::vector<int> CycleNodes, Offsets;
 
   for (;;) {
     A.Conflicts = Solver->stats().Conflicts - ConflictsStart;
@@ -90,7 +92,7 @@ SatAttempt SatScheduler::solveAtT(int T, double TimeLimitSec,
     if (Limits.ConflictLimit <= 0)
       return finish(MilpStatus::Unknown, SearchStop::NodeLimit);
 
-    const SatStatus St = Solver->solve({Sel}, Limits);
+    const SatStatus St = Solver->solve(Assumptions, Limits);
     A.Conflicts = Solver->stats().Conflicts - ConflictsStart;
 
     if (St == SatStatus::Unknown) {
@@ -114,13 +116,11 @@ SatAttempt SatScheduler::solveAtT(int T, double TimeLimitSec,
 
     // Sat: complete the model; recurrence cycles the pairwise encoding
     // cannot see are refined lazily until a completion exists.
-    ModuloSchedule Sched;
-    std::vector<int> CycleNodes;
-    if (Encoder->decode(T, Sched, CycleNodes)) {
+    if (Encoder->decode(T, Sched, CycleNodes, Offsets)) {
       A.Schedule = std::move(Sched);
       return finish(MilpStatus::Optimal, SearchStop::None);
     }
-    Encoder->blockCycle(T, CycleNodes, Encoder->modelOffsets(T));
+    Encoder->blockCycle(T, CycleNodes, Offsets);
     ++A.CycleBlocks;
   }
 }

@@ -173,6 +173,227 @@ TEST(Cdcl, CancellationStopsSearch) {
 }
 
 //===----------------------------------------------------------------------===//
+// Clause arena edge cases
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// True when the solver's last model satisfies every clause in \p Cnf.
+bool modelSatisfies(const CdclSolver &S,
+                    const std::vector<std::vector<SatLit>> &Cnf) {
+  for (const std::vector<SatLit> &C : Cnf) {
+    bool Sat = false;
+    for (SatLit L : C)
+      Sat = Sat || S.modelValue(litVar(L)) != litNeg(L);
+    if (!Sat)
+      return false;
+  }
+  return true;
+}
+
+} // namespace
+
+TEST(CdclArena, LongClauseRewatchesPastPositionTwo) {
+  // One 64-literal clause, falsified from its tail towards its watched head:
+  // when x0 and x1 finally fall, the watch search must scan past every
+  // falsified middle literal to the last one.
+  const int N = 64;
+  CdclSolver S;
+  std::vector<SatLit> Clause;
+  for (int I = 0; I < N; ++I)
+    Clause.push_back(mkLit(S.newVar()));
+  ASSERT_TRUE(S.addClause(Clause));
+  EXPECT_EQ(S.numClauses(), 1);
+
+  std::vector<SatLit> Assume;
+  for (int I = N - 2; I >= 0; --I)
+    Assume.push_back(mkLit(I, true));
+  ASSERT_EQ(S.solve(Assume), SatStatus::Sat);
+  for (int I = 0; I < N - 1; ++I)
+    EXPECT_FALSE(S.modelValue(I)) << I;
+  EXPECT_TRUE(S.modelValue(N - 1));
+
+  // The last literal too: unsat under these assumptions, sat without them.
+  Assume.push_back(mkLit(N - 1, true));
+  EXPECT_EQ(S.solve(Assume), SatStatus::Unsat);
+  EXPECT_TRUE(S.ok());
+  ASSERT_EQ(S.solve({}), SatStatus::Sat);
+  EXPECT_TRUE(modelSatisfies(S, {Clause}));
+}
+
+TEST(CdclArena, ClausesAddedAfterLearningSurviveArenaGrowth) {
+  // Learn clauses on a guarded pigeonhole instance, then add thousands of
+  // problem clauses (the arena reallocates while every watch list holds
+  // references into it) and solve again, both under the guard and without.
+  const int Pigeons = 6, Holes = 5;
+  CdclSolver S;
+  const int Guard = S.newVar();
+  std::vector<std::vector<int>> P(Pigeons, std::vector<int>(Holes));
+  for (auto &Row : P)
+    for (int &V : Row)
+      V = S.newVar();
+  std::vector<std::vector<SatLit>> Cnf;
+  auto Add = [&](std::vector<SatLit> C) {
+    ASSERT_TRUE(S.addClause(C));
+    Cnf.push_back(std::move(C));
+  };
+  for (int I = 0; I < Pigeons; ++I) {
+    std::vector<SatLit> Alo{mkLit(Guard, true)};
+    for (int J = 0; J < Holes; ++J)
+      Alo.push_back(mkLit(P[I][J]));
+    Add(Alo);
+  }
+  for (int J = 0; J < Holes; ++J)
+    for (int I = 0; I < Pigeons; ++I)
+      for (int K = I + 1; K < Pigeons; ++K)
+        Add({mkLit(P[I][J], true), mkLit(P[K][J], true)});
+  ASSERT_EQ(S.solve({mkLit(Guard)}), SatStatus::Unsat);
+  const std::int64_t Learned = S.stats().LearnedClauses;
+  ASSERT_GT(Learned, 0);
+
+  // An implication chain over fresh variables, plus ternary clauses tying
+  // it to the pigeons: several thousand arena words.
+  std::vector<int> Chain;
+  for (int I = 0; I < 2000; ++I)
+    Chain.push_back(S.newVar());
+  for (std::size_t I = 0; I + 1 < Chain.size(); ++I)
+    Add({mkLit(Chain[I], true), mkLit(Chain[I + 1])});
+  for (std::size_t I = 0; I < Chain.size(); I += 7)
+    Add({mkLit(Chain[I], true), mkLit(P[I % Pigeons][I % Holes], true),
+         mkLit(Guard, true)});
+
+  EXPECT_EQ(S.solve({mkLit(Guard)}), SatStatus::Unsat);
+  ASSERT_EQ(S.solve({mkLit(Chain[0])}), SatStatus::Sat);
+  EXPECT_TRUE(modelSatisfies(S, Cnf));
+  EXPECT_TRUE(S.modelValue(Chain.back()));
+  ASSERT_EQ(S.solve({mkLit(Chain.back(), true)}), SatStatus::Sat);
+  EXPECT_TRUE(modelSatisfies(S, Cnf));
+  EXPECT_FALSE(S.modelValue(Chain[0]));
+  EXPECT_GE(S.stats().LearnedClauses, Learned);
+}
+
+TEST(CdclArena, DuplicateOpposingAndFalseLiteralsOnBothOverloads) {
+  CdclSolver S;
+  const int A = S.newVar(), B = S.newVar(), C = S.newVar(), D = S.newVar(),
+            E = S.newVar();
+  // Duplicates collapse; the clause stays binary.
+  ASSERT_TRUE(S.addClause({mkLit(A), mkLit(B), mkLit(A), mkLit(B)}));
+  const std::vector<SatLit> Dup{mkLit(C), mkLit(D), mkLit(D)};
+  ASSERT_TRUE(S.addClause(Dup));
+  EXPECT_EQ(S.numClauses(), 2);
+  // Opposing literals: a tautology, dropped on either overload.
+  ASSERT_TRUE(S.addClause({mkLit(A), mkLit(C), mkLit(A, true)}));
+  const std::vector<SatLit> Taut{mkLit(E, true), mkLit(B), mkLit(E)};
+  ASSERT_TRUE(S.addClause(Taut));
+  EXPECT_EQ(S.numClauses(), 2);
+
+  // Level-0-false literals are removed: with ~A fixed, (A | E) is the unit
+  // E, and (A | ~E | D) through the span overload is the unit D.
+  ASSERT_TRUE(S.addClause({mkLit(A, true)}));
+  ASSERT_TRUE(S.addClause({mkLit(A), mkLit(E)}));
+  const std::vector<SatLit> Falsy{mkLit(A), mkLit(E, true), mkLit(D)};
+  ASSERT_TRUE(S.addClause(Falsy));
+  EXPECT_EQ(S.numClauses(), 2);
+  ASSERT_EQ(S.solve({}), SatStatus::Sat);
+  EXPECT_FALSE(S.modelValue(A));
+  EXPECT_TRUE(S.modelValue(B));
+  EXPECT_TRUE(S.modelValue(D));
+  EXPECT_TRUE(S.modelValue(E));
+  EXPECT_EQ(S.solve({mkLit(D, true)}), SatStatus::Unsat);
+  EXPECT_TRUE(S.ok());
+
+  // A clause of level-0-false literals only is empty: globally unsat.
+  const std::vector<SatLit> AllFalse{mkLit(A), mkLit(E, true), mkLit(A)};
+  EXPECT_FALSE(S.addClause(AllFalse));
+  EXPECT_FALSE(S.ok());
+  EXPECT_FALSE(S.addClause({mkLit(C)}));
+  EXPECT_EQ(S.solve({}), SatStatus::Unsat);
+}
+
+TEST(CdclArena, UnitClausePropagatesAtLevelZero) {
+  CdclSolver S;
+  const int A = S.newVar(), B = S.newVar(), C = S.newVar(), D = S.newVar();
+  ASSERT_TRUE(S.addClause({mkLit(A, true), mkLit(B)}));
+  ASSERT_TRUE(S.addClause({mkLit(B, true), mkLit(C)}));
+  ASSERT_TRUE(S.addClause({mkLit(C, true), mkLit(D), mkLit(A, true)}));
+  // The unit A forces B, C, then D before any solve() runs...
+  ASSERT_TRUE(S.addClause({mkLit(A)}));
+  EXPECT_GT(S.stats().Propagations, 0);
+  // ...so a clause already true at level 0 is dropped, and one made only of
+  // level-0-false literals is the empty clause.
+  ASSERT_TRUE(S.addClause({mkLit(D), mkLit(B, true)}));
+  EXPECT_EQ(S.numClauses(), 3);
+  EXPECT_FALSE(S.addClause({mkLit(D, true), mkLit(C, true)}));
+  EXPECT_FALSE(S.ok());
+  EXPECT_EQ(S.solve({}), SatStatus::Unsat);
+  EXPECT_EQ(S.stats().Decisions, 0);
+}
+
+TEST(CdclArena, IncrementalSolvingAcrossSelectorPeriods) {
+  // The encoder's pattern in miniature: six pigeons, and one selector per
+  // "period" k whose guarded at-least-one clauses confine every pigeon to
+  // holes 0..k-1.  Hole exclusivity is unguarded.  Periods below six are
+  // unsat, the rest sat; revisiting any period gives the same answer with
+  // the learned clauses of every earlier period still in the arena.
+  const int Pigeons = 6, MaxHoles = 8;
+  CdclSolver S;
+  std::vector<std::vector<int>> P(Pigeons, std::vector<int>(MaxHoles));
+  for (auto &Row : P)
+    for (int &V : Row)
+      V = S.newVar();
+  for (int J = 0; J < MaxHoles; ++J)
+    for (int I = 0; I < Pigeons; ++I)
+      for (int K = I + 1; K < Pigeons; ++K)
+        ASSERT_TRUE(S.addClause({mkLit(P[I][J], true), mkLit(P[K][J], true)}));
+  std::vector<int> Sel(MaxHoles + 1, -1);
+  auto selector = [&](int Holes) {
+    if (Sel[static_cast<std::size_t>(Holes)] < 0) {
+      const int V = S.newVar();
+      Sel[static_cast<std::size_t>(Holes)] = V;
+      std::vector<SatLit> Alo;
+      for (int I = 0; I < Pigeons; ++I) {
+        Alo.assign(1, mkLit(V, true));
+        for (int J = 0; J < Holes; ++J)
+          Alo.push_back(mkLit(P[I][J]));
+        EXPECT_TRUE(S.addClause(Alo));
+      }
+    }
+    return mkLit(Sel[static_cast<std::size_t>(Holes)]);
+  };
+  auto check = [&](int Holes) {
+    const SatStatus St = S.solve({selector(Holes)});
+    if (Holes < Pigeons) {
+      EXPECT_EQ(St, SatStatus::Unsat) << Holes;
+      return;
+    }
+    ASSERT_EQ(St, SatStatus::Sat) << Holes;
+    std::vector<int> Used(MaxHoles, 0);
+    for (int I = 0; I < Pigeons; ++I) {
+      int Placed = 0;
+      for (int J = 0; J < MaxHoles; ++J)
+        if (S.modelValue(P[I][J])) {
+          EXPECT_LT(J, Holes) << "pigeon " << I << " period " << Holes;
+          ++Used[static_cast<std::size_t>(J)];
+          ++Placed;
+        }
+      EXPECT_GE(Placed, 1) << "pigeon " << I << " period " << Holes;
+    }
+    for (int J = 0; J < MaxHoles; ++J)
+      EXPECT_LE(Used[static_cast<std::size_t>(J)], 1) << "hole " << J;
+  };
+  std::int64_t LearnedBefore = 0;
+  for (int Holes = 3; Holes <= MaxHoles; ++Holes) {
+    check(Holes);
+    EXPECT_GE(S.stats().LearnedClauses, LearnedBefore);
+    LearnedBefore = S.stats().LearnedClauses;
+  }
+  EXPECT_GT(LearnedBefore, 0);
+  for (int Holes : {5, 7, 4, 6, 3, 8})
+    check(Holes);
+  EXPECT_TRUE(S.ok());
+}
+
+//===----------------------------------------------------------------------===//
 // SAT engine vs ILP agreement
 //===----------------------------------------------------------------------===//
 
@@ -383,6 +604,88 @@ TEST(SatScheduler, AssumptionRetractionNeverLeaksAcrossT) {
     EXPECT_TRUE(VF.Ok) << G.name() << ": " << VF.Error;
   }
   ASSERT_GT(Exercised, 0) << "slice never exercised a refuted period";
+}
+
+namespace {
+
+/// FNV-1a over 64-bit words: a compact fingerprint of search outcomes.
+struct Fnv1a {
+  std::uint64_t H = 14695981039346656037ULL;
+  void mix(std::int64_t V) {
+    for (int B = 0; B < 8; ++B) {
+      H ^= static_cast<std::uint64_t>(V >> (8 * B)) & 0xffu;
+      H *= 1099511628211ULL;
+    }
+  }
+};
+
+} // namespace
+
+TEST(SatScheduler, PinnedCgraSearchIsUnchanged) {
+  // Guards the search itself, not just its answers: a fixed CGRA corpus on
+  // a 3x3 mesh and a 4x4 torus, solved under a conflict budget only, must
+  // spend exactly the recorded effort and produce exactly the recorded
+  // schedules.  Any change to clause storage, watch order, literal order,
+  // or encoding order shows up here as a counter or digest mismatch.
+  SchedulerOptions Opts;
+  Opts.TimeLimitPerT = 1e9;
+  Opts.NodeLimitPerT = 100;
+  Opts.MaxTSlack = 1;
+  CgraCorpusOptions COpts;
+  COpts.NumLoops = 64;
+  COpts.RecurrenceProb = 0.8;
+  COpts.Seed = 20261017;
+
+  std::int64_t Conflicts = 0, Decisions = 0, Propagations = 0, Learned = 0;
+  std::int64_t CycleBlocks = 0;
+  Fnv1a Digest;
+  for (const MachineModel &M : {cgraGrid(3, 3), cgraGrid(4, 4, true)}) {
+    for (const Ddg &G : generateCgraCorpus(M, COpts)) {
+      SchedulerResult R = satScheduleLoop(G, M, Opts);
+      ASSERT_TRUE(R.Error.isOk()) << G.name();
+      ASSERT_FALSE(R.VerifyFailed) << G.name();
+      Digest.mix(R.Schedule.T);
+      for (int S : R.Schedule.StartTime)
+        Digest.mix(S);
+      for (int U : R.Schedule.Mapping)
+        Digest.mix(U);
+      for (const TAttempt &A : R.Attempts) {
+        Digest.mix(A.T);
+        Digest.mix(static_cast<int>(A.Status));
+        Digest.mix(static_cast<int>(A.StopReason));
+        Digest.mix(A.Nodes);
+      }
+
+      // satScheduleLoop reports conflicts only; replay its sweep on one
+      // engine to read the remaining solver counters and cycle blocks.
+      SatScheduler Engine(G, M, Opts.Mapping);
+      std::int64_t ReplayConflicts = 0;
+      for (int T = R.TLowerBound; T <= R.TLowerBound + Opts.MaxTSlack; ++T) {
+        if (!M.moduloFeasible(G, T))
+          continue;
+        SatAttempt A =
+            Engine.solveAtT(T, Opts.TimeLimitPerT, Opts.NodeLimitPerT);
+        ReplayConflicts += A.Conflicts;
+        CycleBlocks += A.CycleBlocks;
+        if (A.Status == MilpStatus::Optimal)
+          break;
+      }
+      EXPECT_EQ(ReplayConflicts, R.TotalNodes) << G.name();
+      Conflicts += R.TotalNodes;
+      Decisions += Engine.stats().Decisions;
+      Propagations += Engine.stats().Propagations;
+      Learned += Engine.stats().LearnedClauses;
+    }
+  }
+  // The corpus must exercise the lazy recurrence refinement.
+  EXPECT_GT(CycleBlocks, 0);
+  // Recorded on the per-clause-allocation solver the arena replaced.
+  EXPECT_EQ(Conflicts, 2765);
+  EXPECT_EQ(Decisions, 248789);
+  EXPECT_EQ(Propagations, 580397);
+  EXPECT_EQ(Learned, 2765);
+  EXPECT_EQ(CycleBlocks, 857);
+  EXPECT_EQ(Digest.H, 11499734152680904402ULL);
 }
 
 //===----------------------------------------------------------------------===//
