@@ -15,6 +15,13 @@
 /// infeasible; time/node limits censor proofs and are reported per attempt
 /// (the paper's "10/30" time-limit note).
 ///
+/// The sweep itself (sweepPeriods) is written once and shared by both exact
+/// engines: scheduleLoop hands it the MILP step scheduleAtT, satScheduleLoop
+/// (swp/sat/SatScheduler.h) a step over one incremental SAT engine.
+/// TimeLimitPerT / NodeLimitPerT bound either engine per candidate T: wall
+/// clock and branch-and-bound nodes for the MILP, wall clock and CDCL
+/// conflicts for SAT.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SWP_CORE_DRIVER_H
@@ -23,10 +30,10 @@
 #include "swp/core/Formulation.h"
 #include "swp/core/Schedule.h"
 #include "swp/solver/BranchAndBound.h"
-#include "swp/solver/Simplex.h"
 #include "swp/support/Status.h"
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace swp {
@@ -34,9 +41,10 @@ namespace swp {
 /// Options of the rate-optimal search.
 struct SchedulerOptions {
   MappingKind Mapping = MappingKind::Fixed;
-  /// MILP wall-clock limit per candidate T, seconds.
+  /// Wall-clock limit per candidate T, seconds (either engine).
   double TimeLimitPerT = 10.0;
-  /// MILP node limit per candidate T.
+  /// Effort limit per candidate T: branch-and-bound nodes for the MILP,
+  /// CDCL conflicts for SAT.
   std::int64_t NodeLimitPerT = INT64_MAX;
   /// Search window: candidate T ranges over [T_lb, T_lb + MaxTSlack].
   int MaxTSlack = 64;
@@ -56,12 +64,6 @@ struct SchedulerOptions {
   /// internally; it never affects infeasibility proofs (those always come
   /// from the exhaustive search or the LP itself).
   bool LpRoundingProbe = true;
-  /// Carry the simplex basis across candidate-T iterations: each T's LP
-  /// workspace starts from the previous T's final basis, role-mapped
-  /// between the two formulations (A slots both periods share, the K /
-  /// color / pair / buffer variables), instead of a cold slack basis.
-  /// Never changes any answer — only how many pivots reaching it costs.
-  bool WarmStartAcrossT = true;
   /// Cooperative cancellation/deadline token, polled between candidate T
   /// and inside the branch-and-bound node loop.  A default token never
   /// fires; the scheduling service installs per-loop deadlines here.
@@ -85,18 +87,6 @@ struct LpEffort {
   }
 };
 
-/// Cross-T warm-start context: the previous candidate T's formulation
-/// handles and final structural basis.  scheduleAtT consumes it to seed
-/// the new T's workspace and overwrites it with this T's outcome.  A
-/// default-constructed context seeds nothing.
-struct TWarmContext {
-  int T = 0;
-  FormulationVars Vars;
-  std::vector<LpBasisStatus> Basis;
-
-  bool valid() const { return T > 0 && !Basis.empty(); }
-};
-
 /// One candidate-T attempt record.
 struct TAttempt {
   int T = 0;
@@ -107,10 +97,17 @@ struct TAttempt {
   /// did) — distinguishes time limit / node limit / cancellation.
   SearchStop StopReason = SearchStop::None;
   double Seconds = 0.0;
+  /// Branch-and-bound nodes (MILP) or CDCL conflicts (SAT).
   std::int64_t Nodes = 0;
   /// Simplex effort behind this attempt (probe + all node relaxations).
   LpEffort Lp;
 };
+
+/// One candidate-T step of the sweep: decides period \p T, writes the
+/// schedule to \p Out when one is found and the typed error to \p Error
+/// when the attempt fails, and \returns the attempt record.
+using PeriodSolveFn =
+    std::function<TAttempt(int T, ModuloSchedule &Out, Status &Error)>;
 
 /// Which rung of the service's fallback ladder produced the schedule.
 /// The ladder degrades ILP -> slack-modulo -> iterative-modulo; None means
@@ -170,24 +167,30 @@ struct SchedulerResult {
   std::string stopChain() const;
 };
 
-/// Runs the rate-optimal search for \p G on \p Machine.
+/// The candidate-T sweep shared by both exact engines: validates the
+/// input (errors carry phase \p Phase), computes the bounds, skips
+/// modulo-infeasible T, and calls \p SolveAtT on every other T of the
+/// window until one yields a schedule.  It polls Opts.Cancel between
+/// attempts, keeps the first typed error, verifies the found schedule when
+/// Opts.VerifySchedules is set, claims rate optimality only when every
+/// smaller T was proven infeasible, and flags injected faults that fired
+/// during the sweep.
+SchedulerResult sweepPeriods(const Ddg &G, const MachineModel &Machine,
+                             const SchedulerOptions &Opts, const char *Phase,
+                             const PeriodSolveFn &SolveAtT);
+
+/// Runs the rate-optimal search for \p G on \p Machine with the MILP.
 SchedulerResult scheduleLoop(const Ddg &G, const MachineModel &Machine,
                              const SchedulerOptions &Opts = {});
 
-/// Builds and solves the MILP for one fixed \p T; \returns the solver
-/// outcome and, when feasible, writes the extracted schedule.  \p StopOut,
-/// when non-null, receives what censored the search (SearchStop::None when
-/// nothing did).  \p Warm, when non-null, seeds this T's LP workspace from
-/// the context's basis and is overwritten with this T's final basis (the
-/// scheduleLoop carry).  \p EffortOut receives this call's simplex effort.
-MilpStatus scheduleAtT(const Ddg &G, const MachineModel &Machine, int T,
-                       const SchedulerOptions &Opts, ModuloSchedule &Out,
-                       double *SecondsOut = nullptr,
-                       std::int64_t *NodesOut = nullptr,
-                       SearchStop *StopOut = nullptr,
-                       Status *ErrorOut = nullptr,
-                       TWarmContext *Warm = nullptr,
-                       LpEffort *EffortOut = nullptr);
+/// Builds and solves the MILP for one fixed \p T; \returns the attempt
+/// record (status, what censored the search, seconds, nodes, simplex
+/// effort) and, when feasible, writes the extracted schedule to \p Out.
+/// \p ErrorOut, when non-null, receives the typed error of a failed
+/// attempt.
+TAttempt scheduleAtT(const Ddg &G, const MachineModel &Machine, int T,
+                     const SchedulerOptions &Opts, ModuloSchedule &Out,
+                     Status *ErrorOut = nullptr);
 
 } // namespace swp
 

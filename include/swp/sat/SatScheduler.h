@@ -5,16 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The second exact engine: the same rate-optimal search loop as
-/// swp/core/Driver, but answering each candidate-T feasibility question
-/// with the CDCL solver over the CnfEncoder's incremental encoding instead
-/// of the MILP.  One SatScheduler keeps a single solver alive across
-/// candidate periods, so conflict clauses learned while refuting T keep
-/// pruning at T+1 (the incremental payoff the tests pin down).
+/// The second exact engine: the same candidate-T sweep as
+/// swp/core/Driver (sweepPeriods), but answering each candidate-T
+/// feasibility question with the CDCL solver over the CnfEncoder's
+/// incremental encoding instead of the MILP.  One SatScheduler keeps a
+/// single solver alive across candidate periods, so conflict clauses
+/// learned while refuting T keep pruning at T+1 (the incremental payoff the
+/// tests pin down).
 ///
-/// Results reuse the MILP vocabulary (MilpStatus / SearchStop /
-/// SchedulerResult) so the service, tools, and fuzz harness treat both
-/// engines uniformly; TAttempt::Nodes carries SAT conflicts.
+/// SchedulerOptions::TimeLimitPerT bounds each candidate T's wall clock and
+/// NodeLimitPerT its CDCL conflicts.  Results reuse the MILP vocabulary
+/// (MilpStatus / SearchStop / SchedulerResult) so the service, tools, and
+/// fuzz harness treat both engines uniformly; TAttempt::Nodes carries SAT
+/// conflicts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,8 +79,8 @@ private:
 };
 
 /// Runs the rate-optimal search for \p G on \p Machine with the SAT
-/// engine; a drop-in sibling of scheduleLoop() (Opts.NodeLimitPerT bounds
-/// conflicts per T; ColoringObjective / MinimizeBuffers / LpRoundingProbe
+/// engine: sweepPeriods() over one SatScheduler, a drop-in sibling of
+/// scheduleLoop() (ColoringObjective / MinimizeBuffers / LpRoundingProbe
 /// do not apply and are ignored).
 SchedulerResult satScheduleLoop(const Ddg &G, const MachineModel &Machine,
                                 const SchedulerOptions &Opts = {});

@@ -99,7 +99,7 @@ struct ServiceStats {
   /// ... LP solves answered ...
   std::uint64_t LpSolves = 0;
   /// ... of which started from a carried/seeded basis (warm starts: B&B
-  /// children off the parent basis, cross-T carries, probe-to-search).
+  /// children off the parent basis, probe-to-search).
   std::uint64_t LpWarmSolves = 0;
   LatencyHistogram Latency;
 

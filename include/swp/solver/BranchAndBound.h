@@ -125,7 +125,7 @@ MilpResult solveMilp(const MilpModel &M, const MilpOptions &Opts = {});
 
 /// Same search over a caller-owned LP workspace bound to \p M.  The first
 /// node reoptimizes from whatever basis \p Lp carries (a previous solve on
-/// nearby bounds, or a seedBasis crash from another model), and each child
+/// nearby bounds, such as the rounding probe's), and each child
 /// node dual-reoptimizes from its parent's basis instead of solving from
 /// scratch.  The workspace keeps its final basis for the caller's next use.
 MilpResult solveMilp(SparseLp &Lp, const MilpModel &M,

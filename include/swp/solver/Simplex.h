@@ -102,9 +102,8 @@ public:
   std::vector<LpBasisStatus> structuralBasis() const;
 
   /// Seeds the next solve()'s starting basis from per-structural hints (as
-  /// produced by structuralBasis(), possibly on a *different* model and
-  /// mapped by the caller).  Hinted-basic columns are crashed into the
-  /// basis where they pivot cleanly; rows left uncovered keep their
+  /// produced by structuralBasis()).  Hinted-basic columns are crashed into
+  /// the basis where they pivot cleanly; rows left uncovered keep their
   /// logicals.  A short vector seeds a prefix; out-of-range hints are
   /// ignored.
   void seedBasis(const std::vector<LpBasisStatus> &StructuralHints);

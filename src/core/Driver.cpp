@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 using namespace swp;
 
@@ -200,122 +199,27 @@ ProbeOutcome lpRoundingProbe(const Ddg &G, const MachineModel &Machine, int T,
   return ProbeOutcome::NotFound;
 }
 
-/// Role-maps a structural basis from the previous candidate T's formulation
-/// onto the new one: variables with the same meaning in both models (the
-/// A[t][i] slots of pattern steps both periods have, the K vector, colors,
-/// per-pair overlap/sign variables, per-type CMax, per-edge buffers) carry
-/// their basis status across; everything else starts at its lower bound.
-/// Purely a crash-basis hint — seedBasis repairs whatever doesn't pivot.
-std::vector<LpBasisStatus> mapBasisAcrossT(const TWarmContext &Old, int NewT,
-                                           const FormulationVars &NewVars,
-                                           int NewNumVars) {
-  std::vector<LpBasisStatus> Hints(static_cast<size_t>(NewNumVars),
-                                   LpBasisStatus::AtLower);
-  auto Put = [&](VarId To, VarId From) {
-    if (To < 0 || From < 0)
-      return;
-    if (static_cast<size_t>(From) >= Old.Basis.size() || To >= NewNumVars)
-      return;
-    Hints[static_cast<size_t>(To)] = Old.Basis[static_cast<size_t>(From)];
-  };
-
-  const size_t SharedT = std::min(
-      {static_cast<size_t>(std::min(Old.T, NewT)), Old.Vars.A.size(),
-       NewVars.A.size()});
-  for (size_t Slot = 0; Slot < SharedT; ++Slot) {
-    const size_t N = std::min(Old.Vars.A[Slot].size(), NewVars.A[Slot].size());
-    for (size_t I = 0; I < N; ++I)
-      Put(NewVars.A[Slot][I], Old.Vars.A[Slot][I]);
-  }
-  for (size_t I = 0, N = std::min(Old.Vars.K.size(), NewVars.K.size()); I < N;
-       ++I)
-    Put(NewVars.K[I], Old.Vars.K[I]);
-  for (size_t I = 0,
-              N = std::min(Old.Vars.Color.size(), NewVars.Color.size());
-       I < N; ++I)
-    Put(NewVars.Color[I], Old.Vars.Color[I]);
-  for (size_t R = 0, N = std::min(Old.Vars.CMax.size(), NewVars.CMax.size());
-       R < N; ++R)
-    Put(NewVars.CMax[R], Old.Vars.CMax[R]);
-  for (size_t E = 0,
-              N = std::min(Old.Vars.Buffers.size(), NewVars.Buffers.size());
-       E < N; ++E)
-    Put(NewVars.Buffers[E], Old.Vars.Buffers[E]);
-
-  if (!NewVars.Pairs.empty() && !Old.Vars.Pairs.empty()) {
-    std::unordered_map<std::uint64_t, const FormulationVars::PairVarIds *>
-        OldPairs;
-    OldPairs.reserve(Old.Vars.Pairs.size());
-    auto Key = [](int I, int J) {
-      return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(I))
-              << 32) |
-             static_cast<std::uint32_t>(J);
-    };
-    for (const FormulationVars::PairVarIds &P : Old.Vars.Pairs)
-      OldPairs[Key(P.OpI, P.OpJ)] = &P;
-    for (const FormulationVars::PairVarIds &P : NewVars.Pairs) {
-      auto It = OldPairs.find(Key(P.OpI, P.OpJ));
-      if (It == OldPairs.end())
-        continue;
-      Put(P.Overlap, It->second->Overlap);
-      Put(P.Sign, It->second->Sign);
-    }
-  }
-
-  // Instance-mapping variables are T-independent, so their layout matches
-  // across candidate T whenever both models took the topology path.
-  for (size_t I = 0,
-              N = std::min(Old.Vars.Inst.size(), NewVars.Inst.size());
-       I < N; ++I)
-    for (size_t U = 0, C = std::min(Old.Vars.Inst[I].size(),
-                                    NewVars.Inst[I].size());
-         U < C; ++U)
-      Put(NewVars.Inst[I][U], Old.Vars.Inst[I][U]);
-  if (!NewVars.Route.empty() && !Old.Vars.Route.empty()) {
-    std::unordered_map<std::uint64_t, VarId> OldRoute;
-    OldRoute.reserve(Old.Vars.Route.size());
-    auto RKey = [](const FormulationVars::RouteVarIds &R) {
-      return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(R.Edge))
-              << 32) |
-             (static_cast<std::uint32_t>(R.Unit) << 8) |
-             static_cast<std::uint32_t>(R.Hops & 0xff);
-    };
-    for (const FormulationVars::RouteVarIds &R : Old.Vars.Route)
-      OldRoute[RKey(R)] = R.Y;
-    for (const FormulationVars::RouteVarIds &R : NewVars.Route) {
-      auto It = OldRoute.find(RKey(R));
-      if (It != OldRoute.end())
-        Put(R.Y, It->second);
-    }
-  }
-  return Hints;
-}
-
 } // namespace
 
-MilpStatus swp::scheduleAtT(const Ddg &G, const MachineModel &Machine, int T,
-                            const SchedulerOptions &Opts, ModuloSchedule &Out,
-                            double *SecondsOut, std::int64_t *NodesOut,
-                            SearchStop *StopOut, Status *ErrorOut,
-                            TWarmContext *Warm, LpEffort *EffortOut) {
+TAttempt swp::scheduleAtT(const Ddg &G, const MachineModel &Machine, int T,
+                          const SchedulerOptions &Opts, ModuloSchedule &Out,
+                          Status *ErrorOut) {
   Stopwatch Watch;
-  if (SecondsOut)
-    *SecondsOut = 0.0;
-  if (NodesOut)
-    *NodesOut = 0;
-  if (StopOut)
-    *StopOut = SearchStop::None;
+  TAttempt Attempt;
+  Attempt.T = T;
   if (ErrorOut)
     *ErrorOut = Status();
-  if (EffortOut)
-    *EffortOut = LpEffort();
+  auto Done = [&](MilpStatus S, SearchStop Stop) {
+    Attempt.Status = S;
+    Attempt.StopReason = Stop;
+    Attempt.Seconds = Watch.seconds();
+    return Attempt;
+  };
 
   // Malformed inputs become typed errors instead of downstream asserts or
   // garbage models; T < 1 admits no schedule by definition of the
   // initiation interval.
   if (T < 1 || !G.isWellFormed(Machine.numTypes()) || !Machine.acceptsDdg(G)) {
-    if (StopOut)
-      *StopOut = SearchStop::Fault;
     if (ErrorOut)
       *ErrorOut = Status(StatusCode::InvalidInput,
                          T < 1 ? "initiation interval T must be >= 1"
@@ -324,21 +228,19 @@ MilpStatus swp::scheduleAtT(const Ddg &G, const MachineModel &Machine, int T,
                      .withPhase("schedule-at-t")
                      .withT(T)
                      .withInstance(G.name());
-    return MilpStatus::Error;
+    return Done(MilpStatus::Error, SearchStop::Fault);
   }
 
   FaultInjector &FI = FaultInjector::instance();
   // Fault injection: the MILP model allocation fails.
   if (FI.shouldFire(FaultSite::Alloc)) {
-    if (StopOut)
-      *StopOut = SearchStop::Fault;
     if (ErrorOut)
       *ErrorOut = Status(StatusCode::ResourceExhausted,
                          "injected allocation failure building the MILP model")
                      .withPhase("model-build")
                      .withT(T)
                      .withInstance(G.name());
-    return MilpStatus::Error;
+    return Done(MilpStatus::Error, SearchStop::Fault);
   }
   // Fault soundness: an injected spurious "LP infeasible" must never turn
   // into a fake infeasibility proof (and from there into a false
@@ -369,51 +271,30 @@ MilpStatus swp::scheduleAtT(const Ddg &G, const MachineModel &Machine, int T,
     // Get any feasible schedule first (cheap: probe + first-incumbent
     // search) and lift it into a warm start, so a censored optimization
     // never returns anything worse than plain feasibility scheduling.
-    // The recursive call also advances the cross-T context, so the
-    // optimizing workspace below seeds from a same-T basis.
     SchedulerOptions FeasOpts = Opts;
     FeasOpts.ColoringObjective = false;
     FeasOpts.MinimizeBuffers = false;
     ModuloSchedule FeasSched;
-    LpEffort FeasEffort;
-    MilpStatus FeasStatus =
-        scheduleAtT(G, Machine, T, FeasOpts, FeasSched, nullptr, nullptr,
-                    nullptr, nullptr, Warm, &FeasEffort);
-    if (EffortOut)
-      *EffortOut += FeasEffort;
-    if (FeasStatus == MilpStatus::Infeasible) {
-      if (SecondsOut)
-        *SecondsOut = Watch.seconds();
-      return MilpStatus::Infeasible;
-    }
-    if (FeasStatus == MilpStatus::Optimal ||
-        FeasStatus == MilpStatus::Feasible)
+    TAttempt Feas = scheduleAtT(G, Machine, T, FeasOpts, FeasSched);
+    Attempt.Lp += Feas.Lp;
+    if (Feas.Status == MilpStatus::Infeasible)
+      return Done(MilpStatus::Infeasible, SearchStop::None);
+    if (Feas.Status == MilpStatus::Optimal ||
+        Feas.Status == MilpStatus::Feasible)
       MOpts.WarmStart = scheduleToAssignment(G, Machine, T, FOpts, Vars,
                                              FeasSched, M.numVars());
   }
 
   // One LP workspace serves the rounding probe and every branch-and-bound
-  // node of this T; presolve runs once here.  Seeded from the previous T's
-  // final basis when the caller carries a context.
+  // node of this T; presolve runs once here.
   SparseLp Workspace(M);
-  if (Warm && Warm->valid() && M.valid())
-    Workspace.seedBasis(mapBasisAcrossT(*Warm, T, Vars, M.numVars()));
-  auto Finish = [&](MilpStatus S) {
-    if (SecondsOut)
-      *SecondsOut = Watch.seconds();
-    if (EffortOut) {
-      const LpStats &WS = Workspace.stats();
-      EffortOut->Pivots += WS.totalPivots();
-      EffortOut->Refactorizations += WS.Refactorizations;
-      EffortOut->Solves += WS.Solves;
-      EffortOut->WarmSolves += WS.WarmSolves;
-    }
-    if (Warm && M.valid()) {
-      Warm->T = T;
-      Warm->Vars = Vars;
-      Warm->Basis = Workspace.structuralBasis();
-    }
-    return S;
+  auto Finish = [&](MilpStatus S, SearchStop Stop) {
+    const LpStats &WS = Workspace.stats();
+    Attempt.Lp.Pivots += WS.totalPivots();
+    Attempt.Lp.Refactorizations += WS.Refactorizations;
+    Attempt.Lp.Solves += WS.Solves;
+    Attempt.Lp.WarmSolves += WS.WarmSolves;
+    return Done(S, Stop);
   };
 
   // The rounding probe completes offsets with a topology-blind first-fit
@@ -433,17 +314,12 @@ MilpStatus swp::scheduleAtT(const Ddg &G, const MachineModel &Machine, int T,
     ProbeOutcome Probe =
         lpRoundingProbe(G, Machine, T, Opts.Mapping, M, Workspace, Vars,
                         ProbeDeadline.token(), Probed);
-    if (Probe == ProbeOutcome::LpInfeasible) {
-      if (Faulted()) {
-        if (StopOut)
-          *StopOut = SearchStop::Fault;
-        return Finish(MilpStatus::Unknown);
-      }
-      return Finish(MilpStatus::Infeasible);
-    }
+    if (Probe == ProbeOutcome::LpInfeasible)
+      return Faulted() ? Finish(MilpStatus::Unknown, SearchStop::Fault)
+                       : Finish(MilpStatus::Infeasible, SearchStop::None);
     if (Probe == ProbeOutcome::Found) {
       Out = std::move(Probed);
-      return Finish(MilpStatus::Optimal);
+      return Finish(MilpStatus::Optimal, SearchStop::None);
     }
   }
 
@@ -451,28 +327,23 @@ MilpStatus swp::scheduleAtT(const Ddg &G, const MachineModel &Machine, int T,
   MOpts.NodeLimit = Opts.NodeLimitPerT;
   MOpts.StopAtFirstIncumbent = !Optimizing;
   MilpResult Res = solveMilp(Workspace, M, MOpts);
-  Finish(Res.Status);
-  if (NodesOut)
-    *NodesOut = Res.Nodes;
-  if (StopOut)
-    *StopOut = Res.StopReason;
+  Attempt.Nodes = Res.Nodes;
   if (Res.Status == MilpStatus::Error && ErrorOut)
     *ErrorOut = Status(Res.Error)
                     .withPhase("milp")
                     .withT(T)
                     .withInstance(G.name());
-  if (Res.Status == MilpStatus::Infeasible && Faulted()) {
-    if (StopOut)
-      *StopOut = SearchStop::Fault;
-    return MilpStatus::Unknown;
-  }
+  if (Res.Status == MilpStatus::Infeasible && Faulted())
+    return Finish(MilpStatus::Unknown, SearchStop::Fault);
   if (Res.hasSolution())
     Out = extractSchedule(G, Machine, T, FOpts, Vars, Res.X);
-  return Res.Status;
+  return Finish(Res.Status, Res.StopReason);
 }
 
-SchedulerResult swp::scheduleLoop(const Ddg &G, const MachineModel &Machine,
-                                  const SchedulerOptions &Opts) {
+SchedulerResult swp::sweepPeriods(const Ddg &G, const MachineModel &Machine,
+                                  const SchedulerOptions &Opts,
+                                  const char *Phase,
+                                  const PeriodSolveFn &SolveAtT) {
   SchedulerResult Result;
   // Validate before any analysis: recurrenceMii asserts on zero-distance
   // cycles, and a DDG referencing op classes the machine lacks has no
@@ -482,7 +353,7 @@ SchedulerResult swp::scheduleLoop(const Ddg &G, const MachineModel &Machine,
     Result.Error = Status(StatusCode::InvalidInput,
                           "DDG is malformed or uses op classes the machine "
                           "does not define")
-                       .withPhase("driver")
+                       .withPhase(Phase)
                        .withInstance(G.name());
     return Result;
   }
@@ -493,33 +364,26 @@ SchedulerResult swp::scheduleLoop(const Ddg &G, const MachineModel &Machine,
   const std::uint64_t FiredBefore = FaultInjector::instance().totalFired();
   Stopwatch Total;
   bool AllBelowProven = true;
-  // Basis carry across the candidate-T sweep: consecutive T solve nearly
-  // the same model, so each workspace starts from the previous T's basis.
-  TWarmContext Warm;
-  TWarmContext *WarmPtr = Opts.WarmStartAcrossT ? &Warm : nullptr;
   for (int T = Result.TLowerBound;
        T <= Result.TLowerBound + Opts.MaxTSlack; ++T) {
     if (Opts.Cancel.cancelled()) {
       Result.Cancelled = true;
       break;
     }
-    TAttempt Attempt;
-    Attempt.T = T;
     if (!Machine.moduloFeasible(G, T)) {
       // No fixed-assignment schedule can exist at this T (paper Sec. 2);
       // the skip is itself a proof of infeasibility.
-      Attempt.ModuloSkipped = true;
-      Attempt.Status = MilpStatus::Infeasible;
-      Result.Attempts.push_back(Attempt);
+      TAttempt Skipped;
+      Skipped.T = T;
+      Skipped.ModuloSkipped = true;
+      Skipped.Status = MilpStatus::Infeasible;
+      Result.Attempts.push_back(Skipped);
       continue;
     }
 
     ModuloSchedule Candidate;
     Status AttemptError;
-    Attempt.Status = scheduleAtT(G, Machine, T, Opts, Candidate,
-                                 &Attempt.Seconds, &Attempt.Nodes,
-                                 &Attempt.StopReason, &AttemptError, WarmPtr,
-                                 &Attempt.Lp);
+    const TAttempt Attempt = SolveAtT(T, Candidate, AttemptError);
     Result.TotalNodes += Attempt.Nodes;
     Result.TotalLp += Attempt.Lp;
     Result.Attempts.push_back(Attempt);
@@ -562,6 +426,14 @@ SchedulerResult swp::scheduleLoop(const Ddg &G, const MachineModel &Machine,
       FaultInjector::instance().totalFired() > FiredBefore;
   Result.TotalSeconds = Total.seconds();
   return Result;
+}
+
+SchedulerResult swp::scheduleLoop(const Ddg &G, const MachineModel &Machine,
+                                  const SchedulerOptions &Opts) {
+  return sweepPeriods(G, Machine, Opts, "driver",
+                      [&](int T, ModuloSchedule &Out, Status &Error) {
+                        return scheduleAtT(G, Machine, T, Opts, Out, &Error);
+                      });
 }
 
 const char *swp::fallbackRungName(FallbackRung R) {

@@ -2,12 +2,10 @@
 
 #include "swp/sat/SatScheduler.h"
 
-#include "swp/core/Verifier.h"
-#include "swp/ddg/Analysis.h"
 #include "swp/support/FaultInjector.h"
 #include "swp/support/Stopwatch.h"
 
-#include <algorithm>
+#include <optional>
 
 using namespace swp;
 
@@ -127,79 +125,24 @@ SatAttempt SatScheduler::solveAtT(int T, double TimeLimitSec,
 
 SchedulerResult swp::satScheduleLoop(const Ddg &G, const MachineModel &Machine,
                                      const SchedulerOptions &Opts) {
-  SchedulerResult Result;
-  if (!G.isWellFormed(Machine.numTypes()) || !Machine.acceptsDdg(G)) {
-    Result.Error = Status(StatusCode::InvalidInput,
-                          "DDG is malformed or uses op classes the machine "
-                          "does not define")
-                       .withPhase("sat-driver")
-                       .withInstance(G.name());
-    return Result;
-  }
-  Result.TDep = recurrenceMii(G);
-  Result.TRes = Machine.resourceMii(G);
-  Result.TLowerBound = std::max({1, Result.TDep, Result.TRes});
-
-  const std::uint64_t FiredBefore = FaultInjector::instance().totalFired();
-  Stopwatch Total;
-  SatScheduler Engine(G, Machine, Opts.Mapping);
-  bool AllBelowProven = true;
-  for (int T = Result.TLowerBound;
-       T <= Result.TLowerBound + Opts.MaxTSlack; ++T) {
-    if (Opts.Cancel.cancelled()) {
-      Result.Cancelled = true;
-      break;
-    }
-    TAttempt Attempt;
-    Attempt.T = T;
-    if (!Machine.moduloFeasible(G, T)) {
-      Attempt.ModuloSkipped = true;
-      Attempt.Status = MilpStatus::Infeasible;
-      Result.Attempts.push_back(Attempt);
-      continue;
-    }
-
-    SatAttempt A = Engine.solveAtT(T, Opts.TimeLimitPerT, Opts.NodeLimitPerT,
-                                   Opts.Cancel);
-    Attempt.Status = A.Status;
-    Attempt.StopReason = A.Stop;
-    Attempt.Seconds = A.Seconds;
-    Attempt.Nodes = A.Conflicts;
-    Result.TotalNodes += A.Conflicts;
-    Result.Attempts.push_back(Attempt);
-
-    if (A.Stop == SearchStop::Cancelled)
-      Result.Cancelled = true;
-
-    if (A.Status == MilpStatus::Error) {
-      if (Result.Error.isOk())
-        Result.Error = A.Error;
-      AllBelowProven = false;
-      if (A.Error.code() == StatusCode::InvalidInput)
-        break;
-      continue;
-    }
-
-    if (A.Status == MilpStatus::Optimal ||
-        A.Status == MilpStatus::Feasible) {
-      if (Opts.VerifySchedules) {
-        VerifyResult V = verifySchedule(G, Machine, A.Schedule);
-        if (!V.Ok) {
-          Result.VerifyFailed = true;
-          break;
-        }
-      }
-      Result.Schedule = std::move(A.Schedule);
-      Result.ProvenRateOptimal = AllBelowProven;
-      break;
-    }
-    if (A.Status != MilpStatus::Infeasible)
-      AllBelowProven = false;
-    if (Result.Cancelled)
-      break;
-  }
-  Result.FaultsSeen =
-      FaultInjector::instance().totalFired() > FiredBefore;
-  Result.TotalSeconds = Total.seconds();
-  return Result;
+  // One engine serves the whole sweep, so clauses learned refuting T keep
+  // pruning at T+1; it is built at the first T actually attempted.
+  std::optional<SatScheduler> Engine;
+  return sweepPeriods(
+      G, Machine, Opts, "sat-driver",
+      [&](int T, ModuloSchedule &Out, Status &Error) {
+        if (!Engine)
+          Engine.emplace(G, Machine, Opts.Mapping);
+        SatAttempt A = Engine->solveAtT(T, Opts.TimeLimitPerT,
+                                        Opts.NodeLimitPerT, Opts.Cancel);
+        Out = std::move(A.Schedule);
+        Error = std::move(A.Error);
+        TAttempt Attempt;
+        Attempt.T = T;
+        Attempt.Status = A.Status;
+        Attempt.StopReason = A.Stop;
+        Attempt.Seconds = A.Seconds;
+        Attempt.Nodes = A.Conflicts;
+        return Attempt;
+      });
 }

@@ -81,10 +81,6 @@ Fingerprint swp::fingerprintOptions(const SchedulerOptions &Opts) {
   B.add(Opts.MinimizeBuffers ? 1 : 0);
   B.add(Opts.VerifySchedules ? 1 : 0);
   B.add(Opts.LpRoundingProbe ? 1 : 0);
-  // Warm starts never change feasibility answers, but a degenerate LP can
-  // surface a different (equally valid) vertex, so the flag is part of the
-  // cache identity to keep warm hits byte-identical to their cold solves.
-  B.add(Opts.WarmStartAcrossT ? 1 : 0);
   return B.finish();
 }
 

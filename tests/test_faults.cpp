@@ -227,13 +227,11 @@ TEST(DriverFaults, BnbNodeFaultSurfacesTypedError) {
   SchedulerOptions Opts = fastOptions();
   Opts.LpRoundingProbe = false;
   ModuloSchedule Out;
-  SearchStop Stop = SearchStop::None;
   Status Error;
-  MilpStatus St =
-      scheduleAtT(G, M, T, Opts, Out, nullptr, nullptr, &Stop, &Error);
+  TAttempt A = scheduleAtT(G, M, T, Opts, Out, &Error);
   FaultInjector::instance().reset();
-  EXPECT_EQ(St, MilpStatus::Error);
-  EXPECT_EQ(Stop, SearchStop::Fault);
+  EXPECT_EQ(A.Status, MilpStatus::Error);
+  EXPECT_EQ(A.StopReason, SearchStop::Fault);
   EXPECT_EQ(Error.code(), StatusCode::FaultInjected);
   EXPECT_EQ(Error.phase(), "milp");
   EXPECT_EQ(Error.t(), T);
@@ -245,13 +243,11 @@ TEST(DriverFaults, AllocFaultReportsResourceExhausted) {
   Ddg G = generateRandomLoop(M, 11, {});
   ASSERT_TRUE(FaultInjector::instance().configure("alloc:1", 0, nullptr));
   ModuloSchedule Out;
-  SearchStop Stop = SearchStop::None;
   Status Error;
-  MilpStatus St = scheduleAtT(G, M, 64, fastOptions(), Out, nullptr, nullptr,
-                              &Stop, &Error);
+  TAttempt A = scheduleAtT(G, M, 64, fastOptions(), Out, &Error);
   FaultInjector::instance().reset();
-  EXPECT_EQ(St, MilpStatus::Error);
-  EXPECT_EQ(Stop, SearchStop::Fault);
+  EXPECT_EQ(A.Status, MilpStatus::Error);
+  EXPECT_EQ(A.StopReason, SearchStop::Fault);
   EXPECT_EQ(Error.code(), StatusCode::ResourceExhausted);
   EXPECT_EQ(Error.phase(), "model-build");
 }
@@ -272,8 +268,7 @@ TEST(DriverFaults, InvalidInputIsTypedWithoutInjection) {
   ModuloSchedule Out;
   Status Error;
   Ddg G = generateRandomLoop(M, 11, {});
-  EXPECT_EQ(scheduleAtT(G, M, 0, fastOptions(), Out, nullptr, nullptr,
-                        nullptr, &Error),
+  EXPECT_EQ(scheduleAtT(G, M, 0, fastOptions(), Out, &Error).Status,
             MilpStatus::Error)
       << "T below 1 is invalid";
   EXPECT_EQ(Error.code(), StatusCode::InvalidInput);

@@ -6,9 +6,14 @@
 #include "swp/ddg/Analysis.h"
 #include "swp/machine/Catalog.h"
 #include "swp/solver/BranchAndBound.h"
+#include "swp/workload/Corpus.h"
 #include "swp/workload/Kernels.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 using namespace swp;
 
@@ -20,7 +25,7 @@ MilpStatus solveAt(const Ddg &G, const MachineModel &M, int T,
   SchedulerOptions Opts;
   Opts.Mapping = Mapping;
   Opts.TimeLimitPerT = 30.0;
-  return scheduleAtT(G, M, T, Opts, Out);
+  return scheduleAtT(G, M, T, Opts, Out).Status;
 }
 
 } // namespace
@@ -228,6 +233,67 @@ TEST(Driver, CleanMachineFixedEqualsRunTime) {
     ASSERT_TRUE(B.found());
     EXPECT_EQ(A.Schedule.T, B.Schedule.T) << Which;
   }
+}
+
+namespace {
+
+struct Fnv1a {
+  std::uint64_t H = 14695981039346656037ULL;
+  void mix(std::int64_t V) {
+    for (int B = 0; B < 8; ++B) {
+      H ^= static_cast<std::uint64_t>(V >> (8 * B)) & 0xffu;
+      H *= 1099511628211ULL;
+    }
+  }
+};
+
+} // namespace
+
+TEST(Driver, PinnedIlpSweepIsUnchanged) {
+  // Guards the ILP sweep itself, not just its answers: random PPC-604 loops
+  // and small CGRA kernels, solved under a node budget only (no wall clock
+  // anywhere), must spend exactly the recorded branch-and-bound effort and
+  // produce exactly the recorded schedules and per-T attempt chains.
+  SchedulerOptions Opts;
+  Opts.NodeLimitPerT = 20;
+  Opts.TimeLimitPerT = 1e9;
+  Opts.MaxTSlack = 3;
+  const MachineModel Ppc = ppc604Like();
+  const MachineModel Cgra = cgraGrid(2, 2);
+  std::vector<std::pair<const MachineModel *, Ddg>> Corpus;
+  for (std::uint64_t Seed = 1; Seed <= 64; ++Seed)
+    Corpus.emplace_back(&Ppc, generateRandomLoop(Ppc, Seed));
+  CgraCorpusOptions COpts;
+  COpts.NumLoops = 16;
+  for (Ddg &G : generateCgraCorpus(Cgra, COpts))
+    Corpus.emplace_back(&Cgra, std::move(G));
+
+  std::int64_t Nodes = 0;
+  int Found = 0, Proven = 0;
+  Fnv1a Digest;
+  for (const auto &[M, G] : Corpus) {
+    SchedulerResult R = scheduleLoop(G, *M, Opts);
+    ASSERT_TRUE(R.Error.isOk()) << G.name();
+    ASSERT_FALSE(R.VerifyFailed) << G.name();
+    Nodes += R.TotalNodes;
+    Found += R.found();
+    Proven += R.ProvenRateOptimal;
+    Digest.mix(R.Schedule.T);
+    for (int S : R.Schedule.StartTime)
+      Digest.mix(S);
+    for (int U : R.Schedule.Mapping)
+      Digest.mix(U);
+    for (const TAttempt &A : R.Attempts) {
+      Digest.mix(A.T);
+      Digest.mix(static_cast<int>(A.Status));
+      Digest.mix(static_cast<int>(A.StopReason));
+      Digest.mix(A.Nodes);
+    }
+  }
+  EXPECT_EQ(Nodes, 402);
+  EXPECT_EQ(Found, 77);
+  EXPECT_EQ(Proven, 76);
+  EXPECT_EQ(Digest.H, 4328775843074932741ULL);
 }
 
 TEST(Driver, ColoringObjectiveStillRateOptimal) {

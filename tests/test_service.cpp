@@ -268,14 +268,10 @@ TEST(DriverCancellation, ScheduleAtTReportsCancelledStop) {
   Opts.Cancel = Src.token();
   Opts.LpRoundingProbe = false; // Force the search into branch and bound.
   ModuloSchedule Out;
-  double Seconds = 0.0;
-  std::int64_t Nodes = 0;
-  SearchStop Stop = SearchStop::None;
-  MilpStatus Status = scheduleAtT(G, M, T, Opts, Out, &Seconds, &Nodes,
-                                  &Stop);
-  EXPECT_EQ(Status, MilpStatus::Unknown);
-  EXPECT_EQ(Stop, SearchStop::Cancelled);
-  EXPECT_EQ(Nodes, 0);
+  TAttempt A = scheduleAtT(G, M, T, Opts, Out);
+  EXPECT_EQ(A.Status, MilpStatus::Unknown);
+  EXPECT_EQ(A.StopReason, SearchStop::Cancelled);
+  EXPECT_EQ(A.Nodes, 0);
 }
 
 TEST(DriverCancellation, SimplexPivotLoopHonorsToken) {

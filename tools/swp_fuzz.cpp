@@ -30,14 +30,6 @@
 // the other's proven optimum, and a clean full-window infeasibility proof
 // from one engine forbids the other from finding anything in the window.
 //
-// With --mode warmstart the harness solves every instance twice — once
-// with the LP warm starts across candidate T (and the basis carried into
-// branch-and-bound) and once with cold rebuilds — and cross-checks the
-// two runs: a warm basis may change which vertex the simplex lands on,
-// never the answer.  When neither run was censored by a limit the whole
-// per-T status chain must match exactly; proofs and found IIs are
-// cross-checked either way, and both schedules are verified and replayed.
-//
 // With --mode cgra the harness fuzzes the topology-aware mapping path:
 // random small PE grids (mesh or torus, bounded hop budgets) with random
 // dataflow kernels; the two exact engines are cross-checked as in
@@ -54,7 +46,6 @@
 //
 //   swp_fuzz --instances 10000 --seed 1            # acceptance run
 //   swp_fuzz --instances 10000 --seed 1 --mode ilp-vs-sat
-//   swp_fuzz --instances 10000 --seed 1 --mode warmstart
 //   swp_fuzz --instances 10000 --seed 1 --mode cgra
 //   swp_fuzz --instances 2000 --seed 1 --mode wire
 //   swp_fuzz --instances 200 --faults "lp-infeasible:p0.1,bnb-node:p0.05"
@@ -97,8 +88,8 @@ struct FuzzOptions {
   std::uint64_t Seed = 1;
   int MaxNodes = 10;
   /// "all" = every scheduler path; "ilp-vs-sat" = two-engine differential;
-  /// "warmstart" = warm vs cold-rebuild LP differential; "wire" = swpd
-  /// frame/message codec round trips and corruption rejection.
+  /// "cgra" = topology-aware mapping; "wire" = swpd frame/message codec
+  /// round trips and corruption rejection.
   std::string Mode = "all";
   std::string FaultSpec;
   double TimeLimitPerT = 0.05;
@@ -112,7 +103,7 @@ struct FuzzOptions {
 int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s [--instances N] [--seed S] [--max-nodes N]\n"
-               "       [--mode all|ilp-vs-sat|warmstart|cgra|wire] [--faults SPEC]\n"
+               "       [--mode all|ilp-vs-sat|cgra|wire] [--faults SPEC]\n"
                "       [--time-limit S] [--node-limit N]\n"
                "       [--max-t-slack N] [--service-every N] [--verbose]\n",
                Argv0);
@@ -566,142 +557,6 @@ void fuzzCgra(const FuzzOptions &Opts, std::uint64_t InstanceSeed,
   }
 }
 
-/// True when no limit censored any part of \p R: the per-T status chain is
-/// then deterministic ground truth — warm starts may change the simplex
-/// path, never which T is infeasible or what II gets proven.
-bool uncensored(const SchedulerResult &R) {
-  if (R.Cancelled || !R.Error.isOk() || R.FaultsSeen)
-    return false;
-  for (const TAttempt &A : R.Attempts)
-    if (A.StopReason != SearchStop::None)
-      return false;
-  return true;
-}
-
-/// Warm-vs-cold differential: the same instance solved with LP warm starts
-/// across candidate T (basis carried from the previous T's relaxation into
-/// the next probe and branch-and-bound) and with cold rebuilds.  The two
-/// runs may pivot through different vertices — the answers must agree.
-void fuzzWarmstart(const FuzzOptions &Opts, std::uint64_t InstanceSeed,
-                   Findings &F) {
-  Rng R(InstanceSeed);
-  MachineModel Machine = randomMachine(R);
-  Ddg G = randomLoop(R, Machine, Opts.MaxNodes, InstanceSeed);
-
-  const bool WithFaults = !Opts.FaultSpec.empty();
-  if (WithFaults) {
-    std::string Err;
-    if (!FaultInjector::instance().configure(Opts.FaultSpec,
-                                             mix64(InstanceSeed), &Err)) {
-      std::fprintf(stderr, "bad --faults spec: %s\n", Err.c_str());
-      std::exit(2);
-    }
-  }
-
-  SchedulerOptions WarmOpts;
-  WarmOpts.TimeLimitPerT = Opts.TimeLimitPerT;
-  WarmOpts.NodeLimitPerT = Opts.NodeLimitPerT;
-  WarmOpts.MaxTSlack = Opts.MaxTSlack;
-  SchedulerOptions ColdOpts = WarmOpts;
-  ColdOpts.WarmStartAcrossT = false;
-
-  SchedulerResult Warm = scheduleLoop(G, Machine, WarmOpts);
-  SchedulerResult Cold = scheduleLoop(G, Machine, ColdOpts);
-
-  if (WithFaults) {
-    auto Unexplained = [](const SchedulerResult &X) {
-      return !X.found() && X.Error.isOk() && X.Attempts.empty() &&
-             !X.Cancelled;
-    };
-    if (Unexplained(Warm))
-      F.report(InstanceSeed, Machine, G,
-               "faulted warm run returned an unexplained empty result");
-    if (Unexplained(Cold))
-      F.report(InstanceSeed, Machine, G,
-               "faulted cold run returned an unexplained empty result");
-    FaultInjector::instance().reset();
-  }
-
-  if (Warm.found())
-    checkSchedule(F, InstanceSeed, Machine, G, Warm.Schedule, "warm");
-  if (Cold.found())
-    checkSchedule(F, InstanceSeed, Machine, G, Cold.Schedule, "cold");
-
-  // Cross-checks run on fault-free ground truth, as in the other modes: a
-  // faulted run must already have downgraded any claim the clean runs
-  // would contradict.
-  if (WithFaults) {
-    Warm = scheduleLoop(G, Machine, WarmOpts);
-    Cold = scheduleLoop(G, Machine, ColdOpts);
-  }
-  if (Warm.Error.isOk() && Cold.Error.isOk() &&
-      Warm.TLowerBound != Cold.TLowerBound)
-    F.report(InstanceSeed, Machine, G,
-             "T_lb disagrees: warm " + std::to_string(Warm.TLowerBound) +
-                 " vs cold " + std::to_string(Cold.TLowerBound));
-  if (Warm.ProvenRateOptimal && Cold.ProvenRateOptimal &&
-      Warm.Schedule.T != Cold.Schedule.T)
-    F.report(InstanceSeed, Machine, G,
-             "proven-optimal II mismatch: warm " +
-                 std::to_string(Warm.Schedule.T) + " vs cold " +
-                 std::to_string(Cold.Schedule.T));
-  if (Warm.ProvenRateOptimal && Cold.found() &&
-      Cold.Schedule.T < Warm.Schedule.T)
-    F.report(InstanceSeed, Machine, G,
-             "cold rebuild beat the warm run's proven optimum: " +
-                 std::to_string(Cold.Schedule.T) + " < " +
-                 std::to_string(Warm.Schedule.T));
-  if (Cold.ProvenRateOptimal && Warm.found() &&
-      Warm.Schedule.T < Cold.Schedule.T)
-    F.report(InstanceSeed, Machine, G,
-             "warm run beat the cold rebuild's proven optimum: " +
-                 std::to_string(Warm.Schedule.T) + " < " +
-                 std::to_string(Cold.Schedule.T));
-  if (cleanFullProof(Warm, Opts.MaxTSlack) && Cold.found() &&
-      Cold.Schedule.T <= Warm.TLowerBound + Opts.MaxTSlack)
-    F.report(InstanceSeed, Machine, G,
-             "cold found T=" + std::to_string(Cold.Schedule.T) +
-                 " inside a window the warm run proved fully infeasible");
-  if (cleanFullProof(Cold, Opts.MaxTSlack) && Warm.found() &&
-      Warm.Schedule.T <= Cold.TLowerBound + Opts.MaxTSlack)
-    F.report(InstanceSeed, Machine, G,
-             "warm found T=" + std::to_string(Warm.Schedule.T) +
-                 " inside a window the cold run proved fully infeasible");
-
-  // The strongest check needs both runs uncensored; then the whole per-T
-  // chain is deterministic and must match attempt for attempt.  (The
-  // schedules themselves may differ — LP degeneracy legitimately lets the
-  // two runs extract different optimal vertices.)
-  if (uncensored(Warm) && uncensored(Cold)) {
-    if (Warm.found() != Cold.found() ||
-        Warm.Schedule.T != Cold.Schedule.T ||
-        Warm.ProvenRateOptimal != Cold.ProvenRateOptimal)
-      F.report(InstanceSeed, Machine, G,
-               "uncensored warm/cold answers diverge: warm T=" +
-                   std::to_string(Warm.Schedule.T) +
-                   (Warm.ProvenRateOptimal ? " (proven)" : "") + " vs cold T=" +
-                   std::to_string(Cold.Schedule.T) +
-                   (Cold.ProvenRateOptimal ? " (proven)" : "") +
-                   " [warm: " + Warm.stopChain() + "] [cold: " +
-                   Cold.stopChain() + "]");
-    else if (Warm.Attempts.size() != Cold.Attempts.size())
-      F.report(InstanceSeed, Machine, G,
-               "uncensored warm/cold attempt chains differ in length: [warm: " +
-                   Warm.stopChain() + "] [cold: " + Cold.stopChain() + "]");
-    else
-      for (size_t I = 0; I < Warm.Attempts.size(); ++I)
-        if (Warm.Attempts[I].T != Cold.Attempts[I].T ||
-            Warm.Attempts[I].Status != Cold.Attempts[I].Status ||
-            Warm.Attempts[I].ModuloSkipped != Cold.Attempts[I].ModuloSkipped) {
-          F.report(InstanceSeed, Machine, G,
-                   "uncensored warm/cold status chains diverge: [warm: " +
-                       Warm.stopChain() + "] [cold: " + Cold.stopChain() +
-                       "]");
-          break;
-        }
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Wire-protocol fuzzing (--mode wire)
 //===----------------------------------------------------------------------===//
@@ -1026,8 +881,7 @@ int main(int Argc, char **Argv) {
   if (Opts.Instances < 1 || Opts.MaxNodes < 2)
     return usage(Argv[0]);
   if (Opts.Mode != "all" && Opts.Mode != "ilp-vs-sat" &&
-      Opts.Mode != "warmstart" && Opts.Mode != "cgra" &&
-      Opts.Mode != "wire")
+      Opts.Mode != "cgra" && Opts.Mode != "wire")
     return usage(Argv[0]);
 
   Stopwatch Total;
@@ -1036,8 +890,6 @@ int main(int Argc, char **Argv) {
     std::uint64_t InstanceSeed = mix64(Opts.Seed) ^ static_cast<std::uint64_t>(I);
     if (Opts.Mode == "ilp-vs-sat")
       fuzzIlpVsSat(Opts, InstanceSeed, F);
-    else if (Opts.Mode == "warmstart")
-      fuzzWarmstart(Opts, InstanceSeed, F);
     else if (Opts.Mode == "cgra")
       fuzzCgra(Opts, InstanceSeed, F);
     else if (Opts.Mode == "wire")
